@@ -69,7 +69,7 @@ struct reclaim_membarriers {  // heavy barriers issued by scans/collects
     static constexpr const char* name = "reclaim.membarriers";
 };
 
-// --- epoch reclamation (reclaim/epoch.cpp) ------------------------------
+// --- epoch reclamation (reclaim/grace_period.cpp, EbrPolicy) ------------
 struct epoch_retired {
     static constexpr const char* name = "epoch.retired";
 };
@@ -83,7 +83,7 @@ struct epoch_advances {
     static constexpr const char* name = "epoch.advances";
 };
 
-// --- quiescent-state reclamation (reclaim/qsbr.cpp) ---------------------
+// --- quiescent-state reclamation (reclaim/grace_period.cpp, QsbrPolicy) -
 struct qsbr_retired {
     static constexpr const char* name = "qsbr.retired";
 };

@@ -53,7 +53,12 @@ class SynchronousDualQueue {
         Node* n = head_.load(std::memory_order_relaxed);
         while (n != nullptr) {
             Node* next = n->next.load(std::memory_order_relaxed);
-            delete n->item.load(std::memory_order_relaxed);
+            // An ITEM node still holding its pointer owns an untaken
+            // value.  A fulfilled RESERVATION keeps pointing at a value
+            // its consumer already took and freed.
+            if (n->kind == Kind::kItem) {
+                delete n->item.load(std::memory_order_relaxed);
+            }
             delete n;
             n = next;
         }
@@ -176,12 +181,10 @@ class SynchronousDualQueue {
                                 std::memory_order_acquire)) == nullptr) {
                         w.spin();
                     }
-                    // Detach the value before consuming it: the node stays
-                    // in the queue (often as the next sentinel), and the
-                    // destructor frees any item still attached — leaving
-                    // the pointer in place would be a double free.
-                    reservation->item.store(nullptr,
-                                            std::memory_order_release);
+                    // Leave the value pointer in place: the node stays in
+                    // the queue (often as the next sentinel), and until
+                    // head passes it a non-null item is what stops the
+                    // next producer from fulfilling it a second time.
                     Node* hh = head_.load(std::memory_order_acquire);
                     if (reservation ==
                         hh->next.load(std::memory_order_acquire)) {

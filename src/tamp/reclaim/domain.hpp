@@ -40,7 +40,8 @@
 //
 // Structure headers consume SMR exclusively through this header; the
 // `direct-reclaim-include` lint rule (tools/lint_atomics.py) keeps
-// direct epoch.hpp/hazard_pointers.hpp includes from creeping back in.
+// direct backend includes (epoch, grace_period, hazard_pointers, qsbr)
+// from creeping back in.
 
 #pragma once
 
@@ -178,55 +179,16 @@ struct hp {
     static constexpr const char* name() { return "hp"; }
 };
 
-// --------------------------------------------------------------- ebr ---
+// ---------------------------------------------------------- ebr, qsbr ---
 
-/// Epoch-based reclamation: the guard pins the global epoch, making
-/// everything reachable during the operation safe to read; protection is
-/// a plain load.
-struct ebr {
-    static constexpr bool kProtects = false;
-
-    class guard {
-      public:
-        guard() { EpochDomain::global().enter(); }
-        ~guard() { EpochDomain::global().exit(); }
-        guard(const guard&) = delete;
-        guard& operator=(const guard&) = delete;
-
-        template <std::size_t I, typename AtomicPtr>
-        auto protect(const AtomicPtr& src) {
-            static_assert(I < kGuardSlots);
-            return src.load(std::memory_order_acquire);
-        }
-        template <std::size_t I, typename T>
-        void set(T*) {
-            static_assert(I < kGuardSlots);
-        }
-        template <std::size_t I>
-        void clear() {
-            static_assert(I < kGuardSlots);
-        }
-    };
-
-    static void retire(void* p, void (*deleter)(void*)) {
-        EpochDomain::global().retire(p, deleter);
-    }
-    template <typename T>
-    static void retire(T* p) {
-        epoch_retire(p);
-    }
-    static void quiescent() {}
-    static std::size_t pending() { return EpochDomain::global().pending(); }
-    static void drain() { EpochDomain::global().drain(); }
-    static constexpr const char* name() { return "ebr"; }
-};
-
-// -------------------------------------------------------------- qsbr ---
-
-/// Quiescent-state reclamation: the guard is thread-local nesting
-/// arithmetic (no store, no fence); the outermost guard exit reports a
-/// quiescence point once every QsbrDomain::kQuiescePeriod operations.
-struct qsbr {
+/// The grace-period domains: the guard is the scheme's read section —
+/// EpochGuard pins the epoch; QsbrReadGuard is thread-local nesting
+/// arithmetic (no store, no fence) whose outermost exit reports a
+/// quiescence point once every QsbrReadGuard::kQuiescePeriod operations.
+/// Either makes everything reachable during the operation safe to read,
+/// so protection is a plain load.
+template <typename Policy, typename ReadSection>
+struct grace_period {
     static constexpr bool kProtects = false;
 
     class guard {
@@ -250,21 +212,31 @@ struct qsbr {
         }
 
       private:
-        QsbrReadGuard read_section_;
+        ReadSection read_section_;
     };
 
     static void retire(void* p, void (*deleter)(void*)) {
-        QsbrDomain::global().retire(p, deleter);
+        GracePeriodDomain<Policy>::global().retire(p, deleter);
     }
     template <typename T>
     static void retire(T* p) {
-        qsbr_retire(p);
+        retire(p, [](void* q) { delete static_cast<T*>(q); });
     }
-    static void quiescent() { QsbrDomain::global().quiescent(); }
-    static std::size_t pending() { return QsbrDomain::global().pending(); }
-    static void drain() { QsbrDomain::global().drain(); }
-    static constexpr const char* name() { return "qsbr"; }
+    static void quiescent() {
+        if constexpr (Policy::kRegistersOnline) {
+            GracePeriodDomain<Policy>::global().announce();
+        }
+    }
+    static std::size_t pending() {
+        return GracePeriodDomain<Policy>::global().pending();
+    }
+    static void drain() { GracePeriodDomain<Policy>::global().drain(); }
+    static constexpr const char* name() { return Policy::kName; }
 };
+
+// Named types, not aliases: diagnostics and test names print them.
+struct ebr : grace_period<EbrPolicy, EpochGuard> {};
+struct qsbr : grace_period<QsbrPolicy, QsbrReadGuard> {};
 
 static_assert(domain<hp>);
 static_assert(domain<ebr>);

@@ -9,7 +9,10 @@
 // freed once the global epoch has advanced twice past e, because any
 // thread that could have seen the node must have been pinned at e or
 // earlier and has since unpinned.  The global epoch advances only when all
-// pinned threads have caught up with it.
+// pinned threads have caught up with it.  The machinery — records,
+// buckets, advance, orphans — is the grace-period engine of
+// tamp/reclaim/grace_period.hpp; EBR's part is *when* a thread announces:
+// a pin is an announce, an unpin goes idle.
 //
 // Trade-off vs hazard pointers, measured by `bench_reclaim`: EBR reads
 // are nearly free (one pin store per *operation*, not per node), but a
@@ -17,53 +20,29 @@
 // per thread but publishes per pointer.  With the asymmetric-fence
 // protocol (tamp/reclaim/asym_fence.hpp) both pay only a release store
 // plus compiler barrier on the read side — the collector's membarrier
-// carries the store-load ordering — and retirement is thread-local:
-// nodes land in per-thread epoch-tagged buckets and are freed in batches
-// once the global epoch has advanced two past their tag, with no shared
-// lock on the retire path.
+// carries the store-load ordering — and retirement is thread-local.
 
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-
-#include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/obs/events.hpp"
+#include "tamp/reclaim/grace_period.hpp"
 
 namespace tamp {
 
-class EpochDomain {
-  public:
-    /// Per-thread retirements between advance/collect attempts.
-    static constexpr std::size_t kCollectThreshold = 64;
-
-    static EpochDomain& global();
-
-    /// Pin/unpin the calling thread (prefer EpochGuard below).
-    void enter();
-    void exit();
-
-    /// Hand `p` to the domain; freed two epoch advances later.
-    void retire(void* p, void (*deleter)(void*));
-
-    /// Try to advance the global epoch and free safe buckets.
-    void collect();
-
-    /// Drain everything drainable — requires no thread pinned.  For tests
-    /// and phase boundaries in benchmarks.
-    void drain();
-
-    std::size_t pending() const;
-    std::uint64_t current_epoch() const;
-
-    /// Implementation record; opaque outside the .cpp.
-    struct Impl;
-
-  private:
-    EpochDomain();
-    Impl* impl_;
+struct EbrPolicy {
+    static constexpr const char* kName = "ebr";
+    /// Threads start idle; only a pin makes one gate grace periods.
+    static constexpr bool kRegistersOnline = false;
+    static constexpr bool kTracesAdvance = true;
+    using retired = obs::ev::epoch_retired;
+    using freed = obs::ev::epoch_freed;
+    using collects = obs::ev::epoch_collects;
+    using advances = obs::ev::epoch_advances;
+    using collect_ns = obs::ev::epoch_collect_ns;
+    using announces = void;  // a pin per operation: not worth a counter
 };
+
+using EpochDomain = GracePeriodDomain<EbrPolicy>;
 
 /// RAII pin.  Operations on EBR-managed structures run inside one:
 ///
@@ -74,10 +53,17 @@ class EpochDomain {
 /// Guards nest (a per-thread counter); only the outermost pins/unpins.
 class EpochGuard {
   public:
-    EpochGuard() { EpochDomain::global().enter(); }
-    ~EpochGuard() { EpochDomain::global().exit(); }
+    EpochGuard() : rec_(&EpochDomain::record()) {
+        if (rec_->nesting++ == 0) EpochDomain::global().announce();
+    }
+    ~EpochGuard() {
+        if (--rec_->nesting == 0) EpochDomain::global().idle();
+    }
     EpochGuard(const EpochGuard&) = delete;
     EpochGuard& operator=(const EpochGuard&) = delete;
+
+  private:
+    EpochDomain::Record* rec_;
 };
 
 /// Retire with the default deleter (must be called while pinned, so the

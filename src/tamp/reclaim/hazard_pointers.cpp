@@ -118,8 +118,7 @@ void HazardDomain::scan() {
                                std::less<const void*>())) {
             rec.retired.push_back(rn);
         } else {
-            TAMP_TSAN_ACQUIRE(rn.ptr);  // pairs with RELEASE in retire()
-            rn.deleter(rn.ptr);
+            rn.free();
             ++freed;
         }
     }

@@ -48,15 +48,11 @@
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
 #include "tamp/reclaim/asym_fence.hpp"
+#include "tamp/reclaim/retired_node.hpp"
 
 namespace tamp {
 
 namespace reclaim_detail {
-
-struct RetiredNode {
-    void* ptr;
-    void (*deleter)(void*);
-};
 
 /// Per-thread hazard record: the inline fast-path state.  All non-atomic
 /// fields are owner-only; `pending_approx` is owner-written (own line,

@@ -9,29 +9,21 @@
 // quiescence points the read side is literally nothing: no store, no
 // fence, not even a pin.  The cost moves to the contract: every
 // registered thread must pass quiescence points regularly, and a thread
-// that stops reporting (without going offline()) blocks reclamation
+// that stops reporting (without going idle()) blocks reclamation
 // process-wide — the same stalled-reader hazard as EBR, but wider,
 // because it spans operations rather than one.
 //
-// The grace-period machinery is the three-bucket interval scheme of
-// tamp/reclaim/epoch.hpp with the pin replaced by an out-of-band counter:
-//
-//  * a global interval counter advances when every online thread has
-//    reported quiescence at the current interval (the straggler check);
-//  * quiescent() publishes the observed interval with a release store +
-//    compiler barrier; the collector's membarrier (asym_fence.hpp) makes
-//    all such publications visible before it judges stragglers — the
-//    identical asymmetric protocol EBR's pin uses, so where membarrier is
-//    unavailable quiescent() falls back to a seq_cst store;
-//  * retirement is thread-local into interval-tagged buckets, freed once
-//    the global interval has advanced two past their tag;
-//  * exiting threads unregister and orphan their buckets for later
-//    collects to adopt; parked threads go offline() so they stop gating
-//    grace periods.
+// The grace-period machinery is EBR's, shared in
+// tamp/reclaim/grace_period.hpp; only the announcements differ.  A QSBR
+// thread registers online, already announced at the current period (it
+// holds no references yet), and stays announced: a quiescence point
+// re-announces the period it observes, so the period advances once every
+// online thread has reported quiescence at it.  Parked threads go idle()
+// so they stop gating grace periods, and announce() again to resume.
 //
 // QsbrReadGuard is how structures templated on reclaim::domain consume
 // this: construction/destruction are thread-local nesting arithmetic, and
-// the outermost destructor reports quiescence once every kQuiescePeriod
+// the outermost destructor announces once every kQuiescePeriod
 // operations (a guard boundary is a valid quiescence point by
 // construction — the caller's operation has completed).  That keeps
 // QSBR-parameterized structures safe by default while preserving the
@@ -39,119 +31,45 @@
 
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "tamp/core/cacheline.hpp"
+#include "tamp/obs/events.hpp"
+#include "tamp/reclaim/grace_period.hpp"
 
 namespace tamp {
 
-namespace qsbr_detail {
-
-struct QsbrRetiredNode {
-    void* ptr;
-    void (*deleter)(void*);
+struct QsbrPolicy {
+    static constexpr const char* kName = "qsbr";
+    /// Threads start announced; a quiescence point re-announces.
+    static constexpr bool kRegistersOnline = true;
+    static constexpr bool kTracesAdvance = false;
+    using retired = obs::ev::qsbr_retired;
+    using freed = obs::ev::qsbr_freed;
+    using collects = obs::ev::qsbr_collects;
+    using advances = obs::ev::qsbr_advances;
+    using collect_ns = obs::ev::qsbr_collect_ns;
+    using announces = obs::ev::qsbr_quiescences;
 };
 
-/// A batch of nodes all retired while the global interval had one value.
-struct QsbrBucket {
-    std::uint64_t interval = 0;
-    std::vector<QsbrRetiredNode> nodes;
-};
-
-/// Per-thread quiescence record.  `seen` is read by every collector;
-/// everything else is owner-only except pending_approx (owner-written,
-/// summed by pending()).  Construction registers the record online at the
-/// current interval; destruction unregisters and orphans any un-freed
-/// buckets.
-struct alignas(kCacheLineSize) QsbrRec {
-    std::atomic<std::uint64_t> seen{0};
-    std::uint32_t nesting = 0;           // read-guard depth
-    std::uint32_t ops_since_quiesce = 0;  // guard exits since last report
-    QsbrBucket buckets[3];
-    std::size_t since_collect = 0;
-    alignas(kCacheLineSize) std::atomic<std::size_t> pending_approx{0};
-
-    QsbrRec();
-    ~QsbrRec();
-    QsbrRec(const QsbrRec&) = delete;
-    QsbrRec& operator=(const QsbrRec&) = delete;
-
-    std::size_t local_pending() const {
-        return buckets[0].nodes.size() + buckets[1].nodes.size() +
-               buckets[2].nodes.size();
-    }
-};
-
-inline QsbrRec& qsbr_rec() {
-    thread_local QsbrRec rec;
-    return rec;
-}
-
-}  // namespace qsbr_detail
-
-class QsbrDomain {
-  public:
-    /// Per-thread retirements between advance/collect attempts.
-    static constexpr std::size_t kCollectThreshold = 64;
-    /// Guard exits between automatic quiescence reports (QsbrReadGuard).
-    static constexpr std::uint32_t kQuiescePeriod = 64;
-    /// Sentinel interval for parked threads (offline()).
-    static constexpr std::uint64_t kOffline = ~std::uint64_t{0};
-
-    static QsbrDomain& global();
-
-    /// Report a quiescence point: the calling thread holds no references
-    /// into any QSBR-managed structure at this instant.  Registers the
-    /// thread on first call; implies online().
-    void quiescent();
-
-    /// Park: the calling thread stops gating grace periods.  Requires the
-    /// same no-references contract as quiescent(), held until online().
-    void offline();
-
-    /// Resume gating (and count as quiescent at the current interval).
-    void online();
-
-    /// Hand `p` to the domain; freed two interval advances later.
-    void retire(void* p, void (*deleter)(void*));
-
-    /// Try to advance the global interval and free safe buckets.
-    void collect();
-
-    /// Drain everything drainable.  Self-reports quiescence between
-    /// attempts, so the caller must hold no references; other registered
-    /// threads must be offline, exited, or quiescing for it to converge.
-    void drain();
-
-    std::size_t pending() const;
-    std::uint64_t current_interval() const;
-
-    /// Implementation record; opaque outside the .cpp.
-    struct Impl;
-
-  private:
-    friend struct qsbr_detail::QsbrRec;
-    QsbrDomain();
-    Impl* impl_;
-};
+using QsbrDomain = GracePeriodDomain<QsbrPolicy>;
 
 /// RAII read-side section for QSBR-parameterized structures.  The fast
 /// path is thread-local arithmetic only — no store, no fence; the
-/// outermost destructor reports quiescence every kQuiescePeriod exits
-/// (legal there: the caller's operation is complete, so the thread holds
-/// no references).  Guards nest; only the outermost counts an exit.
+/// outermost destructor announces a quiescence point every
+/// kQuiescePeriod exits (legal there: the caller's operation is
+/// complete, so the thread holds no references).  Guards nest; only the
+/// outermost counts an exit.
 class QsbrReadGuard {
   public:
-    QsbrReadGuard() : rec_(&qsbr_detail::qsbr_rec()) { ++rec_->nesting; }
+    /// Outermost guard exits between automatic quiescence reports.
+    static constexpr std::uint32_t kQuiescePeriod = 64;
+
+    QsbrReadGuard() : rec_(&QsbrDomain::record()) { ++rec_->nesting; }
 
     ~QsbrReadGuard() {
-        if (--rec_->nesting == 0 &&
-            ++rec_->ops_since_quiesce >= QsbrDomain::kQuiescePeriod) {
-            rec_->ops_since_quiesce = 0;
-            QsbrDomain::global().quiescent();
+        if (--rec_->nesting == 0 && ++rec_->exits >= kQuiescePeriod) {
+            rec_->exits = 0;
+            QsbrDomain::global().announce();
         }
     }
 
@@ -159,7 +77,7 @@ class QsbrReadGuard {
     QsbrReadGuard& operator=(const QsbrReadGuard&) = delete;
 
   private:
-    qsbr_detail::QsbrRec* rec_;
+    QsbrDomain::Record* rec_;
 };
 
 /// Retire with the default deleter (the node must already be unreachable

@@ -12,10 +12,11 @@
 // allocating a node per thread.
 //
 // The stamped tail is a 48-bit index + 16-bit stamp packed in one word
-// (tamp::AtomicStampedIndex); 2^16 recyclings between an observation and
-// its CAS would be needed to strike ABA, which the backoff makes
-// vanishingly unlikely (the same engineering judgement as the book's
-// 32-bit Java stamp).
+// (tamp::AtomicStampedIndex).  The queue path counts in the stamp's low
+// 15 bits (the top bit is CompositeFastPathLock's flag), so 2^15
+// recyclings between an observation and its CAS would be needed to
+// strike ABA, which the backoff makes vanishingly unlikely (the same
+// engineering judgement as the book's 32-bit Java stamp).
 
 #pragma once
 
@@ -84,6 +85,18 @@ class CompositeLock {
 
     static constexpr std::uint64_t kNone = (1ull << 48) - 1;
 
+    // The stamp's top bit is CompositeFastPathLock's fast-path flag.  The
+    // queue path's stamp bump wraps within the low 15 bits and carries
+    // the flag through unchanged: a plain 16-bit increment would carry
+    // into the flag after 2^15 bumps (setting it with no fast-path
+    // holder) or out of it (clearing a live holder's flag).
+    static constexpr std::uint16_t kFastPathFlag = 1u << 15;
+
+    static std::uint16_t bump(std::uint16_t stamp) {
+        return static_cast<std::uint16_t>(
+            (stamp & kFastPathFlag) | ((stamp + 1) & (kFastPathFlag - 1)));
+    }
+
     struct Timeout {};
 
     template <typename TimedOut>
@@ -134,7 +147,7 @@ class CompositeLock {
                         std::memory_order_acquire);
                 }
                 if (tail_.compare_and_set(curr_tail, my_pred, stamp,
-                                          static_cast<std::uint16_t>(stamp + 1))) {
+                                          bump(stamp))) {
                     waiting_[node].value.state.store(
                         State::kWaiting, std::memory_order_release);
                     *out = node;
@@ -159,8 +172,7 @@ class CompositeLock {
                                                  std::memory_order_release);
                 return false;
             }
-        } while (!tail_.compare_and_set(curr_tail, node, stamp,
-                                        static_cast<std::uint16_t>(stamp + 1)));
+        } while (!tail_.compare_and_set(curr_tail, node, stamp, bump(stamp)));
         *pred_out = curr_tail;
         return true;
     }
@@ -212,12 +224,10 @@ class CompositeLock {
 /// the queue, additionally wait for the flag to clear (the fast-path
 /// holder may still be inside the critical section).
 ///
-/// The flag lives in the stamp's top bit; ordinary stamp increments use
-/// the low 15 bits, matching the book's use of a high bit of its 32-bit
-/// Java stamp.
+/// The flag lives in the stamp's top bit (kFastPathFlag); ordinary stamp
+/// increments use the low 15 bits, matching the book's use of a high bit
+/// of its 32-bit Java stamp.
 class CompositeFastPathLock : public CompositeLock {
-    static constexpr std::uint16_t kFastPath = 1u << 15;
-
   public:
     using CompositeLock::CompositeLock;
 
@@ -231,7 +241,7 @@ class CompositeFastPathLock : public CompositeLock {
         // We own the queue; wait out any fast-path holder.
         SpinWait w;
         std::uint16_t stamp;
-        while (tail_.get(&stamp), (stamp & kFastPath) != 0) w.spin();
+        while (tail_.get(&stamp), (stamp & kFastPathFlag) != 0) w.spin();
     }
 
     void unlock() {
@@ -243,22 +253,22 @@ class CompositeFastPathLock : public CompositeLock {
         std::uint16_t stamp;
         const std::uint64_t t = tail_.get(&stamp);
         if (t != kNone) return false;             // queue not empty
-        if ((stamp & kFastPath) != 0) return false;  // someone's in fast
-        const auto new_stamp = static_cast<std::uint16_t>(
-            ((stamp + 1) & (kFastPath - 1)) | kFastPath);
-        return tail_.compare_and_set(kNone, kNone, stamp, new_stamp);
+        if ((stamp & kFastPathFlag) != 0) return false;  // someone's in fast
+        return tail_.compare_and_set(
+            kNone, kNone, stamp,
+            static_cast<std::uint16_t>(bump(stamp) | kFastPathFlag));
     }
 
     bool fast_path_unlock() {
         std::uint16_t stamp;
         std::uint64_t t = tail_.get(&stamp);
-        if ((stamp & kFastPath) == 0) return false;  // we used the queue
+        if ((stamp & kFastPathFlag) == 0) return false;  // we used the queue
         // Only the fast-path holder (us) can clear the flag; the CAS loop
         // absorbs concurrent tail splices by slow-path arrivals.
         while (true) {
             t = tail_.get(&stamp);
             const auto cleared =
-                static_cast<std::uint16_t>(stamp & ~kFastPath);
+                static_cast<std::uint16_t>(stamp & ~kFastPathFlag);
             if (tail_.compare_and_set(t, t, stamp, cleared)) return true;
         }
     }

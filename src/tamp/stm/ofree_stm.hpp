@@ -277,7 +277,7 @@ class OFreeTransaction {
         void* dead = loc->new_version == surviving_box ? loc->old_version
                                                        : loc->new_version;
         if (dead != nullptr) {
-            EpochDomain::global().retire(dead, loc->box_deleter);
+            reclaim::ebr::retire(dead, loc->box_deleter);
         }
         reclaim::ebr::retire(loc);
     }

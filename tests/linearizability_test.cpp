@@ -321,16 +321,19 @@ class BrokenStack {
     }
 
     bool try_pop(long& out) {
-        Node* top = top_.load(std::memory_order_acquire);
+        Node* const top = top_.load(std::memory_order_acquire);
         if (top == nullptr) return false;
         // Widen the read-to-CAS window so the race manifests even when
         // threads are serialized on one CPU (cf. README on single-CPU
         // containers): a concurrent popper reads the same top here.
         std::this_thread::yield();
         // BUG (seeded): the CAS result is ignored instead of retried, so
-        // a lost race still returns top's value.
+        // a lost race still returns top's value.  The CAS gets its own
+        // `expected`: a failed CAS overwrites it with the current top,
+        // which may be null.  Nodes live until the stack does.
+        Node* expected = top;
         top_.compare_exchange_strong(  // tamp-lint: allow(cas-strong-loop)
-            top, top->next, std::memory_order_acq_rel,
+            expected, top->next, std::memory_order_acq_rel,
             std::memory_order_acquire);
         out = top->value;
         return true;

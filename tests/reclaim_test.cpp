@@ -164,9 +164,9 @@ TEST(Epoch, GuardsNest) {
 }
 
 TEST(Epoch, EpochAdvancesWhenNobodyPinned) {
-    const auto e0 = EpochDomain::global().current_epoch();
+    const auto e0 = EpochDomain::global().current();
     for (int i = 0; i < 5; ++i) EpochDomain::global().collect();
-    EXPECT_GT(EpochDomain::global().current_epoch(), e0);
+    EXPECT_GT(EpochDomain::global().current(), e0);
 }
 
 TEST(Epoch, ConcurrentRetireAndCollectIsSafe) {
@@ -201,7 +201,7 @@ TEST(Qsbr, UnquiescedReaderBlocksReclamation) {
         // Register with the domain and then never report quiescence: the
         // QSBR contract says anything retired after this point must stay
         // allocated until we do (or exit).
-        QsbrDomain::global().online();
+        QsbrDomain::global().announce();
         registered.store(true);
         while (!release.load()) std::this_thread::yield();
     });
@@ -210,7 +210,7 @@ TEST(Qsbr, UnquiescedReaderBlocksReclamation) {
     Tracked* victim = new Tracked(7);
     qsbr_retire(victim);
     for (int i = 0; i < 10; ++i) {
-        QsbrDomain::global().quiescent();
+        QsbrDomain::global().announce();
         QsbrDomain::global().collect();
     }
     EXPECT_EQ(Tracked::live.load(), before + 1)
@@ -228,8 +228,8 @@ TEST(Qsbr, OfflineThreadDoesNotBlockReclamation) {
     std::atomic<bool> offline{false};
     std::atomic<bool> release{false};
     std::thread sleeper([&] {
-        QsbrDomain::global().online();
-        QsbrDomain::global().offline();  // "I hold no shared pointers"
+        QsbrDomain::global().announce();
+        QsbrDomain::global().idle();  // "I hold no shared pointers"
         offline.store(true);
         while (!release.load()) std::this_thread::yield();
     });
@@ -265,12 +265,12 @@ TEST(Qsbr, RetireUnderGuardStaysDereferenceable) {
 }
 
 TEST(Qsbr, IntervalAdvancesWhenEveryoneQuiesces) {
-    const auto i0 = QsbrDomain::global().current_interval();
+    const auto i0 = QsbrDomain::global().current();
     for (int i = 0; i < 5; ++i) {
-        QsbrDomain::global().quiescent();
+        QsbrDomain::global().announce();
         QsbrDomain::global().collect();
     }
-    EXPECT_GT(QsbrDomain::global().current_interval(), i0);
+    EXPECT_GT(QsbrDomain::global().current(), i0);
 }
 
 // ---------------------------------------------------- domain adapters

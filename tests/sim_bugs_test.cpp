@@ -824,7 +824,7 @@ TEST(SimBugs, TtasStatisticInsideLockPassesExhaustively) {
 struct QsbrModel {
     tamp::atomic<int> src{0};
     tamp::atomic<std::uint32_t> interval{0};
-    tamp::atomic<std::uint32_t> seen{0};  // registered quiesced, as QsbrRec
+    tamp::atomic<std::uint32_t> seen{0};  // registered quiesced
     tamp::atomic<int> freed0{0};
 
     void reclaim() {
@@ -1063,6 +1063,69 @@ TEST(SimBugs, SentinelLinkedBeforePublishPassesExhaustively) {
     const auto res = sim::explore(opts, racing_bucket_init_body<false>);
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_TRUE(res.exhausted);
+}
+
+// ===========================================================================
+// Bug 10 — EBR unpin before the last dereference: the reader pins, loads
+// the pointer, then goes idle *before* it is done with it.  Idle promises
+// "I hold nothing", so the collector may legitimately advance twice and
+// free the node between the unpin and the dereference.  The EBR twin of
+// Bug 8 (a guard that ends too early); the fixed order — unpin after the
+// last use — is tests/sim_test.cpp's
+// SimEbr.GracePeriodNeverFreesNodeInsidePinnedSection, same collector.
+// ===========================================================================
+
+struct EbrModel {
+    static constexpr std::uint32_t kIdle = ~std::uint32_t{0};
+
+    tamp::atomic<int> src{0};
+    tamp::atomic<std::uint32_t> epoch{0};
+    tamp::atomic<std::uint32_t> announced{kIdle};  // registered idle
+    tamp::atomic<int> freed0{0};
+};
+
+void ebr_idle_first_body() {
+    auto m = std::make_shared<EbrModel>();
+    sim::thread reader([m] {
+        m->announced.store(m->epoch.load(std::memory_order_acquire),
+                           std::memory_order_seq_cst);  // pin
+        const int p = m->src.load(std::memory_order_seq_cst);
+        // BUG: unpins while still holding p.
+        m->announced.store(EbrModel::kIdle, std::memory_order_release);
+        sim::assert_always(
+            !(p == 0 && m->freed0.load(std::memory_order_relaxed) == 1),
+            "reader dereferenced node 0 after unpinning through its "
+            "grace period");
+    });
+    sim::thread reclaimer([m] {
+        m->src.store(1, std::memory_order_seq_cst);
+        const std::uint32_t tag = m->epoch.load(std::memory_order_seq_cst);
+        for (int round = 0; round < 3; ++round) {
+            const std::uint32_t e = m->epoch.load(std::memory_order_seq_cst);
+            if (m->announced.load(std::memory_order_seq_cst) < e) continue;
+            m->epoch.store(e + 1, std::memory_order_seq_cst);
+            if (tag + 2 <= e + 1) {
+                m->freed0.store(1, std::memory_order_relaxed);
+                break;
+            }
+        }
+    });
+    reader.join();
+    reclaimer.join();
+}
+
+TEST(SimBugs, EbrUnpinBeforeLastUseFreesNodeStillInUse) {
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto res = sim::explore(opts, ebr_idle_first_body);
+    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
+                         << " executions";
+    EXPECT_EQ(res.kind, sim::ViolationKind::kAssert);
+
+    const auto again = sim::replay(opts, res, ebr_idle_first_body);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.kind, res.kind);
+    EXPECT_EQ(again.trace, res.trace);
 }
 
 }  // namespace

@@ -407,14 +407,14 @@ TEST(SimReclaim, HazardProtectScanNeverFreesProtectedNode) {
 // publish nothing per-pointer; they report *quiescence* out of band by
 // copying the global interval into their per-thread `seen` counter (the
 // fallback flavor modeled here stores it seq_cst, as the sim build's
-// quiescent() does).  The collector advances the interval only when every
+// announce() does).  The collector advances the interval only when every
 // registered thread's `seen` has caught up, and frees a retired node only
 // two advances after its retire tag.  The property: a node can never be
 // freed between a reader's load of the pointer and that reader's *next*
 // quiescence report — the deref window QSBR's contract protects.
 //
 // `seen` starts equal to the interval (a thread registers quiesced, as
-// QsbrRec's constructor does), and the reader reports twice: the op
+// a QSBR record's constructor does), and the reader reports twice: the op
 // boundary after the deref, then the next one.
 
 TEST(SimQsbr, GracePeriodNeverFreesNodeBeforeReaderQuiesces) {
@@ -422,7 +422,7 @@ TEST(SimQsbr, GracePeriodNeverFreesNodeBeforeReaderQuiesces) {
     auto res = sim::explore(opts, [] {
         tamp::atomic<int> src{0};  // which node the structure points at
         tamp::atomic<std::uint32_t> interval{0};  // QsbrDomain interval
-        tamp::atomic<std::uint32_t> seen{0};      // reader's QsbrRec::seen
+        tamp::atomic<std::uint32_t> seen{0};      // reader's `announced`
         tamp::atomic<int> freed0{0};
 
         sim::thread reader([&] {
@@ -460,6 +460,66 @@ TEST(SimQsbr, GracePeriodNeverFreesNodeBeforeReaderQuiesces) {
         reader.join();
         reclaimer.join();
     });
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+    EXPECT_GT(res.executions, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Reclamation: the EBR pin/advance handshake
+// ---------------------------------------------------------------------------
+//
+// EBR (tamp/reclaim/epoch.hpp) runs the same grace-period engine as QSBR
+// with the other announce policy: a thread is idle until its guard pins,
+// announcing the epoch it observes, and goes idle again on unpin.  The
+// collector skips the advance while any non-idle record lags the epoch.
+// The pin is modeled as two steps — load the epoch, then store it — so the
+// exploration covers pins that land after the epoch has moved on (stale
+// pins).  The property: a node is never freed while a reader that could
+// have loaded it is still inside its pinned section.
+
+constexpr std::uint32_t kEbrIdle = ~std::uint32_t{0};  // the engine's kIdle
+
+void ebr_grace_period_body() {
+    tamp::atomic<int> src{0};  // which node the structure points at
+    tamp::atomic<std::uint32_t> epoch{0};            // the global epoch
+    tamp::atomic<std::uint32_t> announced{kEbrIdle};  // reader's record
+    tamp::atomic<int> freed0{0};
+
+    sim::thread reader([&] {
+        announced.store(epoch.load(std::memory_order_acquire),
+                        std::memory_order_seq_cst);  // EpochGuard: pin
+        const int p = src.load(std::memory_order_seq_cst);
+        sim::assert_always(
+            !(p == 0 && freed0.load(std::memory_order_relaxed) == 1),
+            "node freed inside the reader's pinned section");
+        announced.store(kEbrIdle, std::memory_order_release);  // unpin
+    });
+    sim::thread reclaimer([&] {
+        // Unlink node 0, retire it tagged with the current epoch, then run
+        // bounded collects: straggler check, advance, free once the tag is
+        // two epochs stale.
+        src.store(1, std::memory_order_seq_cst);
+        const std::uint32_t tag = epoch.load(std::memory_order_seq_cst);
+        for (int round = 0; round < 3; ++round) {
+            const std::uint32_t e = epoch.load(std::memory_order_seq_cst);
+            if (announced.load(std::memory_order_seq_cst) < e) {
+                continue;  // a pinned straggler: no advance this round
+            }
+            epoch.store(e + 1, std::memory_order_seq_cst);
+            if (tag + 2 <= e + 1) {
+                freed0.store(1, std::memory_order_relaxed);
+                break;
+            }
+        }
+    });
+    reader.join();
+    reclaimer.join();
+}
+
+TEST(SimEbr, GracePeriodNeverFreesNodeInsidePinnedSection) {
+    sim::ExploreOptions opts;
+    const auto res = sim::explore(opts, ebr_grace_period_body);
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_TRUE(res.exhausted);
     EXPECT_GT(res.executions, 1);
@@ -616,6 +676,7 @@ std::vector<EquivCase> equivalence_cases() {
                          reclaimer.join();
                      },
                      true});
+    cases.push_back({"ebr_grace_period", ebr_grace_period_body, true});
     return cases;
 }
 

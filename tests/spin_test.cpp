@@ -294,6 +294,30 @@ TEST(CompositeFastPath, MixedFastAndSlowExclude) {
     EXPECT_EQ(counter, 20000);
 }
 
+// Exposes the tail stamp's fast-path flag.
+class CompositeStampProbe : public CompositeFastPathLock {
+  public:
+    bool fast_path_flag() const {
+        std::uint16_t stamp;
+        tail_.get(&stamp);
+        return (stamp & kFastPathFlag) != 0;
+    }
+};
+
+TEST(CompositeFastPath, QueuePathStampBumpsNeverSetTheFlag) {
+    // Every queue-path acquisition bumps the tail stamp at least once, so
+    // 2^16 rounds walk the 15-bit counter through its wrap twice.  The
+    // flag must stay clear throughout: set with no fast-path holder, it
+    // would make slow-path lockers spin on it forever.
+    CompositeStampProbe lock;
+    for (int round = 0; round < (1 << 16); ++round) {
+        lock.CompositeLock::lock();
+        ASSERT_FALSE(lock.fast_path_flag()) << "round " << round;
+        lock.CompositeLock::unlock();
+        ASSERT_FALSE(lock.fast_path_flag()) << "round " << round;
+    }
+}
+
 TEST(HCLHLockTest, ClusterMapping) {
     HCLHLock lock(/*clusters=*/3, /*cluster_size=*/2);
     EXPECT_EQ(lock.cluster_of(0), 0u);

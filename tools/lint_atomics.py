@@ -90,8 +90,9 @@ follow (see README "Correctness tooling"):
 
   direct-reclaim-include
                        an `#include` of a concrete reclamation backend
-                       (tamp/reclaim/{epoch,hazard_pointers,qsbr}.hpp)
-                       from src/tamp/ outside src/tamp/reclaim/ itself.
+                       (tamp/reclaim/{epoch,grace_period,hazard_pointers,
+                       qsbr}.hpp) from src/tamp/ outside src/tamp/reclaim/
+                       itself.
                        Structures consume reclamation through the
                        reclaim::domain concept (tamp/reclaim/domain.hpp),
                        which is what keeps them substrate-generic; a
@@ -192,7 +193,7 @@ SPIN_PAUSE_RE = re.compile(
 # reclaim/ must include tamp/reclaim/domain.hpp (or reclaim.hpp) instead.
 RECLAIM_BACKEND_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*[<"]tamp/reclaim/'
-    r'(?:epoch|hazard_pointers|qsbr)\.hpp[>"]')
+    r'(?:epoch|grace_period|hazard_pointers|qsbr)\.hpp[>"]')
 
 
 def in_reclaim_include_scope(path):
@@ -984,6 +985,13 @@ SELF_TEST_CASES = [
      "#include \"tamp/reclaim/asym_fence.hpp\"\n",
      {(1, "direct-reclaim-include"), (2, "direct-reclaim-include"),
       (3, "direct-reclaim-include")}),
+
+    # The grace-period engine under EBR and QSBR is a backend too: a
+    # structure including it directly hard-wires the engine.
+    ("src/tamp/skiplist/engine_direct.hpp",
+     "#include \"tamp/reclaim/grace_period.hpp\"\n"
+     "#include \"tamp/reclaim/domain.hpp\"\n",
+     {(1, "direct-reclaim-include")}),
 
     # Inside reclaim/ the backends may include each other freely.
     ("src/tamp/reclaim/internal.hpp",
