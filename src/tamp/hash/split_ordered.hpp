@@ -1,6 +1,6 @@
 // tamp/hash/split_ordered.hpp
 //
-// The lock-free hash set with recursive split-ordering (§13.3,
+// The lock-free hash table with recursive split-ordering (§13.3,
 // Figs. 13.13–13.18; Shalev & Shavit).  The key insight: instead of
 // moving items between buckets when the table grows, keep *all* items in
 // one lock-free list sorted by bit-reversed hash ("split order") and let
@@ -16,63 +16,78 @@
 // b + 2^k gets a sentinel whose split-order key falls exactly in the
 // middle of b's chain — the recursion that gives the scheme its name.
 //
-// The underlying list is Harris–Michael (as in tamp/lists) over packed
-// (split-key, value) pairs, epoch-reclaimed.  The bucket directory is a
-// two-level array so it can grow without moving (segments are installed
-// with CAS and never replaced).
+// SplitOrderedTable is tamp's one such table: the Harris–Michael list of
+// tamp/lists/harris_michael.hpp, a doubling bucket directory, lazy
+// sentinel install and the resize policy, all on tamp::atomic so tamp::sim
+// explores it.  SplitOrderedHashSet (below) is its set face;
+// tamp::kv::SplitOrderedMap adds an in-place value slot, a scan gate and
+// atomic scans.  Each face passes a `step` that runs every linearizing
+// CAS (an insert's link, a remove's mark): the map brackets it in its
+// gate, the set runs it bare and never touches one.
 
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "tamp/core/bits.hpp"
 #include "tamp/core/cacheline.hpp"
 #include "tamp/core/marked_ptr.hpp"
+#include "tamp/lists/harris_michael.hpp"
 #include "tamp/lists/keyed.hpp"
+#include "tamp/obs/counter.hpp"
+#include "tamp/obs/events.hpp"
 #include "tamp/reclaim/domain.hpp"
+#include "tamp/sim/atomic.hpp"
+#include "tamp/sim/hooks.hpp"
 
 namespace tamp {
+namespace detail {
 
-template <std::totally_ordered T, typename KeyOf = DefaultKeyOf<T>,
-          reclaim::domain Domain = reclaim::ebr>
-class SplitOrderedHashSet {
+/// The step of a face that brackets nothing: run the CAS.
+inline constexpr auto kDirectStep = [](auto cas) { return cas(); };
+
+template <std::totally_ordered K, typename KeyOf, reclaim::domain Domain,
+          typename Slot>
+class SplitOrderedTable {
     static_assert(!Domain::kProtects,
-                  "SplitOrderedHashSet's recursive-split traversals "
-                  "publish no per-pointer protection; use a grace-period "
-                  "domain (ebr/qsbr)");
-    struct Node {
-        std::uint64_t so_key;  // split-order key; even = sentinel
-        T value;               // meaningful only for ordinary nodes
-        AtomicMarkedPtr<Node> next;
-    };
+                  "split-ordered traversals publish no per-pointer "
+                  "protection; use a grace-period domain (ebr/qsbr)");
+    using HM = HarrisMichael<Domain>;
 
-    static constexpr std::size_t kSegmentBits = 9;
-    static constexpr std::size_t kSegmentSize = 1u << kSegmentBits;
-    static constexpr std::size_t kMaxSegments = 1u << 15;  // 2^24 buckets
+    static constexpr std::size_t kSegment0Bits = 4;
+    static constexpr std::size_t kSegment0Size = std::size_t{1}
+                                                 << kSegment0Bits;
+    static constexpr std::size_t kMaxSegments = 28;
+    static constexpr std::size_t kMaxBuckets = kSegment0Size
+                                               << (kMaxSegments - 1);
 
   public:
-    using value_type = T;
+    struct Node {
+        const std::uint64_t so_key;  // split-order key; even = sentinel
+        const K key;                 // tie-break for same-hash keys
+        [[no_unique_address]] Slot slot;  // the map's value; set: empty
+        AtomicMarkedPtr<Node> next;
 
-    explicit SplitOrderedHashSet(std::size_t initial_buckets = 2,
-                                 std::size_t max_load = 4)
-        : max_load_(max_load) {
-        std::size_t b = 2;
-        while (b < initial_buckets) b *= 2;
+        template <typename... A>
+        Node(std::uint64_t so, const K& k, const A&... a)
+            : so_key(so), key(k), slot(a...) {}
+    };
+    using Guard = typename Domain::guard;
+
+    SplitOrderedTable(std::size_t initial_buckets, std::size_t max_load)
+        : max_load_(max_load), head_(new Node(0, K{})) {
+        std::size_t b = kSegment0Size;
+        while (b < initial_buckets && b < kMaxBuckets) b *= 2;
         bucket_count_.store(b, std::memory_order_relaxed);
-        for (auto& s : segments_) {
-            s.store(nullptr, std::memory_order_relaxed);
-        }
-        // Install bucket 0's sentinel eagerly: the recursion's base case.
-        head_ = new Node{0, T{}, {}};
-        head_->next.store(nullptr, false);
+        // Bucket 0's sentinel is the recursion's base case — eager.
         bucket_ref(0).store(head_, std::memory_order_release);
     }
 
-    ~SplitOrderedHashSet() {
+    ~SplitOrderedTable() {
         Node* n = head_;
         while (n != nullptr) {
             Node* next = n->next.load(std::memory_order_relaxed).ptr();
@@ -84,220 +99,198 @@ class SplitOrderedHashSet {
         }
     }
 
-    SplitOrderedHashSet(const SplitOrderedHashSet&) = delete;
-    SplitOrderedHashSet& operator=(const SplitOrderedHashSet&) = delete;
-
-    bool add(const T& v) {
-        typename Domain::guard guard;
-        const std::uint64_t h = KeyOf{}(v);
-        const std::size_t size =
-            bucket_count_.load(std::memory_order_acquire);
-        Node* sentinel = get_bucket(h % size);
-        if (!list_add(sentinel, ordinary_key(h), v)) return false;
+    /// Insert-or-find k: the resident node and whether this call linked
+    /// it, with a slot built from `slot_init`.  A present key is returned
+    /// untouched.  A new key may double the table (the resize policy:
+    /// the average chain exceeds max_load).
+    template <typename Step, typename... A>
+    std::pair<Node*, bool> insert(Guard& g, const K& k, Step step,
+                                  const A&... slot_init) {
+        const std::uint64_t h = KeyOf{}(k);
+        std::size_t size = bucket_count_.load(std::memory_order_acquire);
+        const Target t{split_ordinary_key(h), k};
+        const auto make = [&] { return new Node(t.so, k, slot_init...); };
+        const auto res = HM::insert(g, bucket(g, h % size), t, make, step);
+        if (!res.second) return res;
         const std::size_t count =
-            set_size_.fetch_add(1, std::memory_order_relaxed) + 1;
-        // Resize policy: double when average chain exceeds max_load_.
-        if (count / size > max_load_ &&
-            size * 2 <= kSegmentSize * kMaxSegments) {
-            std::size_t expected = size;
+            size_.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (count / size > max_load_ && size * 2 <= kMaxBuckets &&
             bucket_count_.compare_exchange_strong(
-                expected, size * 2, std::memory_order_acq_rel,
-                std::memory_order_relaxed);
+                size, size * 2, std::memory_order_acq_rel,
+                std::memory_order_relaxed)) {
+            obs::counter<obs::ev::kv_resizes>::inc();
         }
-        return true;
+        return res;
     }
 
-    bool remove(const T& v) {
-        typename Domain::guard guard;
-        const std::uint64_t h = KeyOf{}(v);
-        const std::size_t size =
-            bucket_count_.load(std::memory_order_acquire);
-        Node* sentinel = get_bucket(h % size);
-        if (!list_remove(sentinel, ordinary_key(h), v)) return false;
-        set_size_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
+    /// Remove k.  Linearizes at the mark CAS, which `step` runs.
+    template <typename Step>
+    bool remove(Guard& g, const K& k, Step step) {
+        const std::uint64_t h = KeyOf{}(k);
+        Node* start =
+            bucket(g, h % bucket_count_.load(std::memory_order_acquire));
+        const bool removed =
+            HM::remove(g, start, Target{split_ordinary_key(h), k}, step);
+        if (removed) size_.fetch_sub(1, std::memory_order_relaxed);
+        return removed;
     }
 
-    bool contains(const T& v) {
-        typename Domain::guard guard;
-        const std::uint64_t h = KeyOf{}(v);
-        const std::size_t size =
-            bucket_count_.load(std::memory_order_acquire);
-        Node* sentinel = get_bucket(h % size);
-        const std::uint64_t key = ordinary_key(h);
-        // Wait-free traversal from the bucket's sentinel.
-        Node* curr = sentinel;
-        bool marked = false;
-        while (curr != nullptr && precedes(curr, key, v)) {
-            curr = curr->next.get(&marked);
+    /// Wait-free lookup: the node holding k, or null.  Marked nodes are
+    /// skipped logically but never snipped here; the caller re-checks
+    /// marked() after reading what it needs (marks are monotone).
+    Node* lookup(Guard& g, const K& k) {
+        const std::uint64_t h = KeyOf{}(k);
+        const Target t{split_ordinary_key(h), k};
+        Node* curr =
+            bucket(g, h % bucket_count_.load(std::memory_order_acquire));
+        while (curr != nullptr && t.before(curr)) {
+            curr = curr->next.load().ptr();
         }
-        if (curr == nullptr) return false;
-        curr->next.get(&marked);
-        return matches(curr, key, v) && !marked;
+        return curr != nullptr && t.matches(curr) ? curr : nullptr;
     }
+
+    static bool marked(const Node* n) { return n->next.load().marked(); }
+
+    /// Bucket 0's sentinel: the whole list, in split order.
+    Node* head() const { return head_; }
 
     std::size_t size() const {
-        return set_size_.load(std::memory_order_relaxed);
+        return size_.load(std::memory_order_relaxed);
     }
     std::size_t buckets() const {
         return bucket_count_.load(std::memory_order_acquire);
     }
+    /// Directory slots installed so far (growth leaves nodes in place —
+    /// the growth test pins this against buckets()).
+    std::size_t segments_installed() const {
+        std::size_t n = 0;
+        for (const auto& s : segments_) {
+            if (s.load(std::memory_order_acquire) != nullptr) ++n;
+        }
+        return n;
+    }
 
   private:
-    static std::uint64_t ordinary_key(std::uint64_t h) {
-        return detail::reverse_bits64(h) | 1ull;
-    }
-    static std::uint64_t sentinel_key(std::uint64_t bucket) {
-        return detail::reverse_bits64(bucket);
-    }
-    /// Parent bucket: clear the most significant set bit (Fig. 13.17).
-    static std::size_t parent_of(std::size_t bucket) {
-        assert(bucket > 0);
-        return bucket & ~(std::size_t{1}
-                          << (63 - std::countl_zero<std::uint64_t>(bucket)));
-    }
+    // The search target: split-order key, then the key as tie-break (a
+    // sentinel's even split-order key is unique on its own).
+    struct Target {
+        const std::uint64_t so;
+        const K& k;
+        bool before(const Node* n) const {
+            if (n->so_key != so) return n->so_key < so;
+            return (so & 1u) != 0 && n->key < k;
+        }
+        bool matches(const Node* n) const {
+            return n->so_key == so && ((so & 1u) == 0 || n->key == k);
+        }
+    };
 
-    std::atomic<Node*>& bucket_ref(std::size_t bucket) {
-        const std::size_t seg = bucket >> kSegmentBits;
+    /// Bucket b's directory cell.  Segment 0 holds buckets [0, 16);
+    /// segment s >= 1 holds [2^(s+3), 2^(s+4)), doubling the table.  (One
+    /// bit_width serves both cases: b | 15 gives segment 0 the width 4.)
+    tamp::atomic<Node*>& bucket_ref(std::size_t b) {
+        const auto width = static_cast<std::size_t>(
+            std::bit_width(b | (kSegment0Size - 1)));
+        const std::size_t seg = width - kSegment0Bits;
+        const std::size_t base =
+            (std::size_t{1} << (width - 1)) & ~(kSegment0Size - 1);
         assert(seg < kMaxSegments);
-        std::atomic<Node*>* segment =
+        tamp::atomic<Node*>* segment =
             segments_[seg].load(std::memory_order_acquire);
         if (segment == nullptr) {
-            auto* fresh = new std::atomic<Node*>[kSegmentSize];
-            for (std::size_t i = 0; i < kSegmentSize; ++i) {
-                fresh[i].store(nullptr, std::memory_order_relaxed);
-            }
-            std::atomic<Node*>* expected = nullptr;
-            if (segments_[seg].compare_exchange_strong(
-                    expected, fresh, std::memory_order_acq_rel,
+            segment = new tamp::atomic<Node*>[seg == 0 ? kSegment0Size
+                                                        : base]();
+            tamp::atomic<Node*>* expected = nullptr;
+            if (!segments_[seg].compare_exchange_strong(
+                    expected, segment, std::memory_order_acq_rel,
                     std::memory_order_acquire)) {
-                segment = fresh;
-            } else {
-                delete[] fresh;
+                delete[] segment;  // a racer installed one first
                 segment = expected;
             }
         }
-        return segment[bucket & (kSegmentSize - 1)];
+        return segment[b - base];
     }
 
-    /// Bucket sentinel, installing it (and recursively its parent's) on
-    /// first touch — initializeBucket of Fig. 13.16.
-    Node* get_bucket(std::size_t bucket) {
-        std::atomic<Node*>& ref = bucket_ref(bucket);
-        Node* sentinel = ref.load(std::memory_order_acquire);
-        if (sentinel != nullptr) return sentinel;
+    /// Bucket b's sentinel, installed on first touch.
+    Node* bucket(Guard& g, std::size_t b) {
+        Node* sentinel = bucket_ref(b).load(std::memory_order_acquire);
+        return sentinel != nullptr ? sentinel : install(g, b);
+    }
 
-        Node* parent = get_bucket(parent_of(bucket));
-        // Insert (or find) the sentinel in the parent's chain.
-        Node* node = list_add_sentinel(parent, sentinel_key(bucket));
-        // Publish; racers may have published the same node already (the
-        // sentinel-insert is idempotent — it returns the winner).
+    /// initializeBucket of Fig. 13.16: link b's sentinel into its parent's
+    /// chain (the parent is b with the top bit cleared, Fig. 13.17, and is
+    /// installed first), then publish whichever sentinel is resident.  Out
+    /// of line so every operation's bucket() stays a load and a branch.
+    [[gnu::noinline]] Node* install(Guard& g, std::size_t b) {
+        tamp::atomic<Node*>& ref = bucket_ref(b);
+        const K none{};
+        const Target t{split_sentinel_key(b), none};
+        const auto make = [&] { return new Node(t.so, none); };
+        Node* node =
+            HM::insert(g, bucket(g, b - std::bit_floor(b)), t, make,
+                       kDirectStep)
+                .first;
         Node* expected = nullptr;
-        ref.compare_exchange_strong(expected, node,
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_acquire);
+        if (ref.compare_exchange_strong(expected, node,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+            obs::counter<obs::ev::kv_sentinel_installs>::inc();
+        }
         return ref.load(std::memory_order_acquire);
     }
 
-    // ---------------- Harris–Michael machinery over (so_key, value) ----
+    const std::size_t max_load_;
+    Node* const head_;  // bucket 0's sentinel (so_key == 0)
+    // bucket_count_ and the directory are read by every operation and
+    // written rarely; size_, bumped by every insert and remove, gets a line
+    // of its own (sharing the directory's cost bench_hash's 4-thread
+    // update mix about a quarter of its throughput on 4 vCPUs).
+    alignas(kCacheLineSize) tamp::atomic<std::size_t> bucket_count_;
+    tamp::atomic<tamp::atomic<Node*>*> segments_[kMaxSegments]{};
+    alignas(kCacheLineSize) tamp::atomic<std::size_t> size_{0};
+};
 
-    bool precedes(const Node* n, std::uint64_t key, const T& v) const {
-        if (n->so_key != key) return n->so_key < key;
-        if ((key & 1) == 0) return false;  // sentinels are unique per key
-        return !(n->value == v) && n->value < v;
-    }
-    bool matches(const Node* n, std::uint64_t key, const T& v) const {
-        if (n->so_key != key) return false;
-        if ((key & 1) == 0) return true;
-        return n->value == v;
-    }
+}  // namespace detail
 
-    struct Window {
-        Node* pred;
-        Node* curr;  // may be null (end of list)
-    };
+template <std::totally_ordered T, typename KeyOf = DefaultKeyOf<T>,
+          reclaim::domain Domain = reclaim::ebr>
+class SplitOrderedHashSet {
+    struct Empty {};
+    using Table = detail::SplitOrderedTable<T, KeyOf, Domain, Empty>;
+    using Guard = typename Domain::guard;
 
-    /// find() from `start`, snipping marked nodes (cf. lists/lockfree).
-    Window find(Node* start, std::uint64_t key, const T& v) {
-    retry:
-        while (true) {
-            Node* pred = start;
-            Node* curr = pred->next.load().ptr();
-            while (curr != nullptr) {
-                bool marked = false;
-                Node* succ = curr->next.get(&marked);
-                while (marked) {
-                    if (!pred->next.compare_and_set(curr, succ, false,
-                                                    false)) {
-                        goto retry;
-                    }
-                    Domain::retire(curr);
-                    curr = succ;
-                    if (curr == nullptr) return {pred, nullptr};
-                    succ = curr->next.get(&marked);
-                }
-                if (!precedes(curr, key, v)) return {pred, curr};
-                pred = curr;
-                curr = succ;
-            }
-            return {pred, nullptr};
-        }
+  public:
+    using value_type = T;
+
+    explicit SplitOrderedHashSet(std::size_t initial_buckets = 16,
+                                 std::size_t max_load = 4)
+        : table_(initial_buckets, max_load) {}
+
+    bool add(const T& v) {
+        Guard guard;
+        sim::op_scope op("SplitOrderedHashSet::add");
+        return table_.insert(guard, v, detail::kDirectStep).second;
     }
 
-    bool list_add(Node* start, std::uint64_t key, const T& v) {
-        Node* node = nullptr;
-        while (true) {
-            Window w = find(start, key, v);
-            if (w.curr != nullptr && matches(w.curr, key, v)) {
-                delete node;
-                return false;
-            }
-            if (node == nullptr) node = new Node{key, v, {}};
-            node->next.store(w.curr, false);
-            if (w.pred->next.compare_and_set(w.curr, node, false, false)) {
-                return true;
-            }
-        }
+    bool remove(const T& v) {
+        Guard guard;
+        sim::op_scope op("SplitOrderedHashSet::remove");
+        return table_.remove(guard, v, detail::kDirectStep);
     }
 
-    /// Insert-or-find a sentinel; returns the resident node.
-    Node* list_add_sentinel(Node* start, std::uint64_t key) {
-        Node* node = nullptr;
-        const T dummy{};
-        while (true) {
-            Window w = find(start, key, dummy);
-            if (w.curr != nullptr && w.curr->so_key == key) {
-                delete node;
-                return w.curr;  // someone else installed it
-            }
-            if (node == nullptr) node = new Node{key, T{}, {}};
-            node->next.store(w.curr, false);
-            if (w.pred->next.compare_and_set(w.curr, node, false, false)) {
-                return node;
-            }
-        }
+    /// Wait-free traversal from the bucket's sentinel.
+    bool contains(const T& v) {
+        Guard guard;
+        sim::op_scope op("SplitOrderedHashSet::contains");
+        const auto* n = table_.lookup(guard, v);
+        return n != nullptr && !Table::marked(n);
     }
 
-    bool list_remove(Node* start, std::uint64_t key, const T& v) {
-        while (true) {
-            Window w = find(start, key, v);
-            if (w.curr == nullptr || !matches(w.curr, key, v)) return false;
-            Node* succ = w.curr->next.load().ptr();
-            if (!w.curr->next.attempt_mark(succ, true)) continue;
-            if (w.pred->next.compare_and_set(w.curr, succ, false, false)) {
-                Domain::retire(w.curr);
-            }
-            return true;
-        }
-    }
+    std::size_t size() const { return table_.size(); }
+    std::size_t buckets() const { return table_.buckets(); }
 
-    std::size_t max_load_;
-    Node* head_;  // bucket 0's sentinel (so_key == 0)
-    // set_size_ is bumped by every add/remove; bucket_count_ is read on
-    // every policy check — keep the hot counter off its line.
-    alignas(kCacheLineSize) std::atomic<std::size_t> bucket_count_;
-    alignas(kCacheLineSize) std::atomic<std::size_t> set_size_{0};
-    std::atomic<std::atomic<Node*>*> segments_[kMaxSegments];
+  private:
+    Table table_;
 };
 
 }  // namespace tamp

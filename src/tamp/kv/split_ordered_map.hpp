@@ -1,22 +1,13 @@
 // tamp/kv/split_ordered_map.hpp
 //
-// SplitOrderedMap — the key→value half of recursive split-ordering
-// (Shalev & Shavit; §13.3, Figs. 13.13–13.18), built for the KV service:
-// all entries live in one Harris–Michael list sorted by bit-reversed
-// hash, buckets are lazily-installed sentinel nodes pointing into it,
-// and doubling the table only adds sentinels — a node, once linked, is
-// never moved.  Differences from the set in tamp/hash/split_ordered.hpp:
+// SplitOrderedMap — the key→value face of the split-ordered table
+// (tamp/hash/split_ordered.hpp; §13.3, Shalev & Shavit) for the KV
+// service.  To the table the map adds only
 //
-//   * map interface — nodes carry an immutable key plus a
-//     `tamp::atomic<V>` value updated in place, so a put on an existing
-//     key is one store, not a remove+insert;
-//   * doubling bucket directory — segment s holds 2^(s+3) buckets
-//     (segment 0 holds 16), so growing 2^4 → 2^31 buckets costs 28
-//     directory slots instead of a flat 2^24-bounded array;
+//   * an in-place value — each node's slot is a `tamp::atomic<V>`, so a
+//     put on an existing key is one store, not a remove+insert;
 //   * linearizable scans — a packed writers/completed gate (see below)
-//     turns the classic non-atomic traversal into an atomic snapshot;
-//   * sim/facade clean — every shared word goes through `tamp::atomic`
-//     so the model checker can explore the publish protocol.
+//     turns the classic non-atomic traversal into an atomic snapshot.
 //
 // Scan gate.  `gate_` packs two fields into one word: the low
 // kWriterBits count mutators currently between their decision to
@@ -42,8 +33,6 @@
 
 #pragma once
 
-#include <bit>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -52,9 +41,8 @@
 #include <vector>
 
 #include "tamp/core/backoff.hpp"
-#include "tamp/core/bits.hpp"
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/marked_ptr.hpp"
+#include "tamp/hash/split_ordered.hpp"
 #include "tamp/lists/keyed.hpp"
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
@@ -68,33 +56,11 @@ template <std::totally_ordered K, typename V,
           typename KeyOf = DefaultKeyOf<K>,
           reclaim::domain Domain = reclaim::ebr>
 class SplitOrderedMap {
-    static_assert(!Domain::kProtects,
-                  "SplitOrderedMap's recursive-split traversals publish "
-                  "no per-pointer protection; use a grace-period domain "
-                  "(ebr/qsbr)");
     static_assert(std::is_trivially_copyable_v<V>,
                   "values are updated in place through tamp::atomic<V>");
-
-    struct Node {
-        const std::uint64_t so_key;  // split-order key; even = sentinel
-        const K key;                 // tie-break for same-hash keys
-        tamp::atomic<V> value;       // updated in place by put
-        AtomicMarkedPtr<Node> next;
-
-        Node(std::uint64_t so, K k, V v)
-            : so_key(so), key(std::move(k)), value(v) {}
-    };
-
-    // Doubling directory: segment 0 holds 2^kSegment0Bits buckets and
-    // each later segment doubles the table, so segment s >= 1 holds
-    // segment_base(s) == 2^(kSegment0Bits + s - 1) buckets.  28 slots
-    // reach 2^31 buckets — "growth from thousands to millions of keys"
-    // costs 28 pointers, installed by CAS and never replaced.
-    static constexpr std::size_t kSegment0Bits = 4;
-    static constexpr std::size_t kMaxSegments = 28;
-    static constexpr std::size_t kMaxBuckets = std::size_t{1}
-                                               << (kSegment0Bits +
-                                                   kMaxSegments - 1);
+    using Table = detail::SplitOrderedTable<K, KeyOf, Domain, tamp::atomic<V>>;
+    using Node = typename Table::Node;
+    using Guard = typename Domain::guard;
 
     // Scan gate field layout (see header comment).
     static constexpr std::uint64_t kWriterBits = 20;
@@ -110,134 +76,44 @@ class SplitOrderedMap {
 
     explicit SplitOrderedMap(std::size_t initial_buckets = 16,
                              std::size_t max_load = 4)
-        : max_load_(max_load), head_(new Node(0, K{}, V{})) {
-        std::size_t b = 1u << kSegment0Bits;
-        while (b < initial_buckets && b < kMaxBuckets) b *= 2;
-        bucket_count_.store(b, std::memory_order_relaxed);
-        for (auto& s : segments_) {
-            s.store(nullptr, std::memory_order_relaxed);
-        }
-        head_->next.store(nullptr, false);
-        // Bucket 0's sentinel is the recursion's base case — eager.
-        bucket_ref(0).store(head_, std::memory_order_release);
-    }
-
-    ~SplitOrderedMap() {
-        Node* n = head_;
-        while (n != nullptr) {
-            Node* next = n->next.load(std::memory_order_relaxed).ptr();
-            delete n;
-            n = next;
-        }
-        for (auto& s : segments_) {
-            delete[] s.load(std::memory_order_relaxed);
-        }
-    }
-
-    SplitOrderedMap(const SplitOrderedMap&) = delete;
-    SplitOrderedMap& operator=(const SplitOrderedMap&) = delete;
+        : table_(initial_buckets, max_load) {}
 
     /// Insert-or-update.  Returns true when k was inserted, false when
     /// an existing entry was updated in place.
     bool put(const K& k, const V& v) {
-        typename Domain::guard guard;
+        Guard guard;
         sim::op_scope op("SplitOrderedMap::put");
-        const std::uint64_t h = KeyOf{}(k);
-        const std::uint64_t so = detail::split_ordinary_key(h);
-        const std::size_t size =
-            bucket_count_.load(std::memory_order_acquire);
-        Node* sentinel = get_bucket(h % size);
-        Node* node = nullptr;
-        std::uint64_t attempts = 0;
-        for (;;) {
-            Window w = find(sentinel, so, k);
-            if (w.curr != nullptr && matches(w.curr, so, k)) {
-                delete node;
-                // In-place update: linearizes at the store (or, if a
-                // concurrent remove marked the node first, just before
-                // that mark — the stored value is then never observable,
-                // because every reader re-checks the mark after loading).
-                gate_enter();
-                w.curr->value.store(v, std::memory_order_release);
-                gate_exit();
-                count_retries(attempts);
-                return false;
-            }
-            if (node == nullptr) {
-                node = new Node(so, k, v);
-            }
-            node->next.store(w.curr, false);
+        const auto [node, inserted] = table_.insert(guard, k, gated(), v);
+        if (!inserted) {
+            // In-place update: linearizes at the store (or, if a
+            // concurrent remove marked the node first, just before that
+            // mark — the stored value is then never observable, because
+            // every reader re-checks the mark after loading).
             gate_enter();
-            const bool linked =
-                w.pred->next.compare_and_set(w.curr, node, false, false);
+            node->slot.store(v, std::memory_order_release);
             gate_exit();
-            if (linked) break;
-            ++attempts;
         }
-        count_retries(attempts);
-        const std::size_t count =
-            map_size_.fetch_add(1, std::memory_order_relaxed) + 1;
-        maybe_resize(count, size);
-        return true;
+        return inserted;
     }
 
     /// Snapshot read; linearizes at the value load (validated by the
     /// mark re-check — marks are monotone) or, for a marked node, at
     /// the mark re-check itself.
     std::optional<V> get(const K& k) {
-        typename Domain::guard guard;
+        Guard guard;
         sim::op_scope op("SplitOrderedMap::get");
-        const std::uint64_t h = KeyOf{}(k);
-        const std::uint64_t so = detail::split_ordinary_key(h);
-        const std::size_t size =
-            bucket_count_.load(std::memory_order_acquire);
-        Node* curr = get_bucket(h % size);
-        bool marked = false;
-        // Wait-free traversal: marked nodes are skipped logically but
-        // never snipped here.
-        while (curr != nullptr && precedes(curr, so, k)) {
-            curr = curr->next.get(&marked);
-        }
-        if (curr == nullptr || !matches(curr, so, k)) return std::nullopt;
-        const V v = curr->value.load(std::memory_order_acquire);
-        curr->next.get(&marked);
-        if (marked) return std::nullopt;
+        const Node* n = table_.lookup(guard, k);
+        if (n == nullptr) return std::nullopt;
+        const V v = n->slot.load(std::memory_order_acquire);
+        if (Table::marked(n)) return std::nullopt;
         return v;
     }
 
     /// Remove.  Linearizes at the mark CAS.
     bool del(const K& k) {
-        typename Domain::guard guard;
+        Guard guard;
         sim::op_scope op("SplitOrderedMap::del");
-        const std::uint64_t h = KeyOf{}(k);
-        const std::uint64_t so = detail::split_ordinary_key(h);
-        const std::size_t size =
-            bucket_count_.load(std::memory_order_acquire);
-        Node* sentinel = get_bucket(h % size);
-        std::uint64_t attempts = 0;
-        for (;;) {
-            Window w = find(sentinel, so, k);
-            if (w.curr == nullptr || !matches(w.curr, so, k)) {
-                count_retries(attempts);
-                return false;
-            }
-            Node* succ = w.curr->next.load().ptr();
-            gate_enter();
-            const bool marked_it =
-                w.curr->next.attempt_mark(succ, true);
-            gate_exit();
-            if (!marked_it) {
-                ++attempts;
-                continue;
-            }
-            // Physical snip is best-effort; find() finishes it otherwise.
-            if (w.pred->next.compare_and_set(w.curr, succ, false, false)) {
-                Domain::retire(w.curr);
-            }
-            count_retries(attempts);
-            map_size_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
-        }
+        return table_.remove(guard, k, gated());
     }
 
     /// Atomic snapshot (see the gate protocol above).  Appends up to
@@ -250,7 +126,7 @@ class SplitOrderedMap {
     /// are in flight.
     std::size_t scan(std::vector<std::pair<K, V>>& out,
                      std::size_t limit = 0) {
-        typename Domain::guard guard;
+        Guard guard;
         sim::op_scope op("SplitOrderedMap::scan");
         Backoff backoff;
         const std::size_t base = out.size();
@@ -262,13 +138,13 @@ class SplitOrderedMap {
                 continue;
             }
             out.resize(base);
-            for (Node* n = head_; n != nullptr;) {
+            for (Node* n = table_.head(); n != nullptr;) {
                 if (limit != 0 && out.size() - base == limit) break;
                 bool marked = false;
                 Node* next = n->next.get(&marked);
                 if ((n->so_key & 1ull) != 0 && !marked) {
                     out.emplace_back(
-                        n->key, n->value.load(std::memory_order_acquire));
+                        n->key, n->slot.load(std::memory_order_acquire));
                 }
                 n = next;
             }
@@ -279,24 +155,13 @@ class SplitOrderedMap {
         }
     }
 
-    std::size_t size() const {
-        return map_size_.load(std::memory_order_relaxed);
-    }
-    std::size_t buckets() const {
-        return bucket_count_.load(std::memory_order_acquire);
-    }
-    /// Directory slots installed so far (growth leaves nodes in place —
-    /// the growth test pins this against buckets()).
+    std::size_t size() const { return table_.size(); }
+    std::size_t buckets() const { return table_.buckets(); }
     std::size_t segments_installed() const {
-        std::size_t n = 0;
-        for (const auto& s : segments_) {
-            if (s.load(std::memory_order_acquire) != nullptr) ++n;
-        }
-        return n;
+        return table_.segments_installed();
     }
 
   private:
-    // ---------------- scan gate -------------------------------------
     void gate_enter() {
         gate_.fetch_add(1, std::memory_order_seq_cst);
     }
@@ -304,169 +169,23 @@ class SplitOrderedMap {
         // -1 writer in flight, +1 completed attempt, in one RMW.
         gate_.fetch_add(kDoneInc - 1, std::memory_order_seq_cst);
     }
-    static void count_retries(std::uint64_t attempts) {
-        if (attempts != 0) {
-            obs::counter<obs::ev::kv_cas_retries>::inc(attempts);
-        }
+
+    /// The step the table runs each linearizing CAS through (an
+    /// insert's link, a remove's mark): bracketed by the gate, and a
+    /// lost CAS counts one `kv.cas_retries`.
+    auto gated() {
+        return [this](auto cas) {
+            gate_enter();
+            const bool won = cas();
+            gate_exit();
+            if (!won) obs::counter<obs::ev::kv_cas_retries>::inc();
+            return won;
+        };
     }
 
-    // ---------------- resize policy ---------------------------------
-    // Double when the average chain exceeds max_load_.  Helper keeps
-    // the CAS out of the put() retry loop (it must run at most once per
-    // put) and owns the kv.resizes attribution counter.
-    void maybe_resize(std::size_t count, std::size_t size) {
-        if (count / size > max_load_ && size * 2 <= kMaxBuckets) {
-            std::size_t expected = size;
-            if (bucket_count_.compare_exchange_strong(
-                    expected, size * 2, std::memory_order_acq_rel,
-                    std::memory_order_relaxed)) {
-                obs::counter<obs::ev::kv_resizes>::inc();
-            }
-        }
-    }
-
-    // ---------------- doubling bucket directory ---------------------
-    static std::size_t segment_of(std::size_t bucket) {
-        return bucket < (std::size_t{1} << kSegment0Bits)
-                   ? 0
-                   : std::bit_width(bucket) - kSegment0Bits;
-    }
-    static std::size_t segment_base(std::size_t seg) {
-        return seg == 0 ? 0
-                        : std::size_t{1} << (kSegment0Bits + seg - 1);
-    }
-    static std::size_t segment_size(std::size_t seg) {
-        return seg == 0 ? std::size_t{1} << kSegment0Bits
-                        : segment_base(seg);
-    }
-
-    tamp::atomic<Node*>& bucket_ref(std::size_t bucket) {
-        const std::size_t seg = segment_of(bucket);
-        assert(seg < kMaxSegments);
-        tamp::atomic<Node*>* segment =
-            segments_[seg].load(std::memory_order_acquire);
-        if (segment == nullptr) {
-            const std::size_t len = segment_size(seg);
-            auto* fresh = new tamp::atomic<Node*>[len];
-            for (std::size_t i = 0; i < len; ++i) {
-                fresh[i].store(nullptr, std::memory_order_relaxed);
-            }
-            tamp::atomic<Node*>* expected = nullptr;
-            if (segments_[seg].compare_exchange_strong(
-                    expected, fresh, std::memory_order_acq_rel,
-                    std::memory_order_acquire)) {
-                segment = fresh;
-            } else {
-                delete[] fresh;
-                segment = expected;
-            }
-        }
-        return segment[bucket - segment_base(seg)];
-    }
-
-    /// Parent bucket: clear the most significant set bit (Fig. 13.17).
-    static std::size_t parent_of(std::size_t bucket) {
-        assert(bucket > 0);
-        return bucket & ~(std::size_t{1}
-                          << (63 - std::countl_zero<std::uint64_t>(bucket)));
-    }
-
-    /// Bucket sentinel, installing it (and recursively its parent's) on
-    /// first touch — initializeBucket of Fig. 13.16.  The sentinel is
-    /// linked into the parent's chain *before* the directory cell is
-    /// CAS-published, so any thread that reads a non-null cell sees a
-    /// fully linked list entry (tests/sim_test.cpp proves the order;
-    /// tests/sim_bugs_test.cpp carries the publish-first twin).
-    Node* get_bucket(std::size_t bucket) {
-        tamp::atomic<Node*>& ref = bucket_ref(bucket);
-        Node* sentinel = ref.load(std::memory_order_acquire);
-        if (sentinel != nullptr) return sentinel;
-
-        Node* parent = get_bucket(parent_of(bucket));
-        Node* node =
-            list_add_sentinel(parent, detail::split_sentinel_key(bucket));
-        Node* expected = nullptr;
-        if (ref.compare_exchange_strong(expected, node,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-            obs::counter<obs::ev::kv_sentinel_installs>::inc();
-        }
-        return ref.load(std::memory_order_acquire);
-    }
-
-    // ------------- Harris–Michael machinery over (so_key, key) ------
-
-    bool precedes(const Node* n, std::uint64_t so, const K& k) const {
-        if (n->so_key != so) return n->so_key < so;
-        if ((so & 1ull) == 0) return false;  // sentinels unique per key
-        return !(n->key == k) && n->key < k;
-    }
-    bool matches(const Node* n, std::uint64_t so, const K& k) const {
-        if (n->so_key != so) return false;
-        if ((so & 1ull) == 0) return true;
-        return n->key == k;
-    }
-
-    // Stack-local find() result, never shared between threads.
-    struct Window {
-        Node* pred;  // tamp-lint: allow(plain-shared-member)
-        Node* curr;  // may be null   // tamp-lint: allow(plain-shared-member)
-    };
-
-    /// find() from `start`, snipping marked nodes (physical cleanup —
-    /// no gate traffic; the logical removal was the mark CAS).
-    Window find(Node* start, std::uint64_t so, const K& k) {
-    retry:
-        while (true) {
-            Node* pred = start;
-            Node* curr = pred->next.load().ptr();
-            while (curr != nullptr) {
-                bool marked = false;
-                Node* succ = curr->next.get(&marked);
-                while (marked) {
-                    if (!pred->next.compare_and_set(curr, succ, false,
-                                                    false)) {
-                        goto retry;
-                    }
-                    Domain::retire(curr);
-                    curr = succ;
-                    if (curr == nullptr) return {pred, nullptr};
-                    succ = curr->next.get(&marked);
-                }
-                if (!precedes(curr, so, k)) return {pred, curr};
-                pred = curr;
-                curr = succ;
-            }
-            return {pred, nullptr};
-        }
-    }
-
-    /// Insert-or-find a sentinel; returns the resident node.
-    Node* list_add_sentinel(Node* start, std::uint64_t so) {
-        Node* node = nullptr;
-        const K dummy{};
-        while (true) {
-            Window w = find(start, so, dummy);
-            if (w.curr != nullptr && w.curr->so_key == so) {
-                delete node;
-                return w.curr;  // someone else linked it
-            }
-            if (node == nullptr) node = new Node(so, K{}, V{});
-            node->next.store(w.curr, false);
-            if (w.pred->next.compare_and_set(w.curr, node, false, false)) {
-                return node;
-            }
-        }
-    }
-
-    const std::size_t max_load_;
-    Node* const head_;  // bucket 0's sentinel (so_key == 0)
-    // The gate is the scan/mutator rendezvous; the size counter is
-    // bumped by every put/del — keep each hot word on its own line.
+    Table table_;
+    // The gate is the scan/mutator rendezvous: its own line.
     alignas(kCacheLineSize) tamp::atomic<std::uint64_t> gate_{0};
-    alignas(kCacheLineSize) tamp::atomic<std::size_t> bucket_count_;
-    alignas(kCacheLineSize) tamp::atomic<std::size_t> map_size_{0};
-    tamp::atomic<tamp::atomic<Node*>*> segments_[kMaxSegments];
 };
 
 }  // namespace tamp::kv

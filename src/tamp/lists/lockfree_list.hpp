@@ -2,27 +2,20 @@
 //
 // LockFreeListSet (§9.8, Figs. 9.23–9.27): the Harris–Michael lock-free
 // list.  The next-pointer and the logical-deletion mark live in one CAS-able
-// word (AtomicMarkedPtr), so
-//
-//  * remove() marks the victim's next-pointer — the linearization point —
-//    and then tries one physical unlink;
-//  * find() ("the window") snips out every marked node it passes, keeping
-//    the list clean without any dedicated cleaner;
-//  * add()/remove() retry from the head when a CAS loses;
-//  * contains() is wait-free under a grace-period domain: one traversal,
-//    check the mark.
+// word (AtomicMarkedPtr).  find/add/remove are the shared core in
+// tamp/lists/harris_michael.hpp, which the split-ordered table runs too;
+// this file supplies the book's node order — (hash, value), head and tail
+// sentinels — and contains(), wait-free under a grace-period domain: one
+// traversal, check the mark.
 //
 // Reclamation is pluggable (tamp/reclaim/domain.hpp): the set is templated
 // on a reclaim::domain, EBR by default — the traversal-heavy access
 // pattern is where a per-operation guard wins, and `bench_reclaim` /
 // `bench_lists` quantify the 3-way HP/EBR/QSBR ladder.  Under a
-// protecting domain (hazard pointers — the pairing Michael's paper built
-// for exactly this list) find() becomes the rotating two-hazard search:
-// publish curr, then re-read pred's link — while it still names curr
-// unmarked, curr is reachable from a protected (or sentinel) node and
-// cannot have been freed.  That re-validation also forces contains() to
-// run through find(), so HP trades the book's wait-free membership test
-// for lock-freedom; grace-period domains (EBR/QSBR) compile the
+// protecting domain (hazard pointers) find() becomes Michael's rotating
+// two-hazard search, whose per-hop re-validation also forces contains()
+// to run through find(), so HP trades the book's wait-free membership
+// test for lock-freedom; grace-period domains (EBR/QSBR) compile the
 // protection hooks away entirely and keep the original code paths.
 
 #pragma once
@@ -30,6 +23,7 @@
 #include <cstdint>
 
 #include "tamp/core/marked_ptr.hpp"
+#include "tamp/lists/harris_michael.hpp"
 #include "tamp/lists/keyed.hpp"
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
@@ -50,8 +44,29 @@ class LockFreeListSet {
         const T value;
         AtomicMarkedPtr<Node> next;
     };
+    using Order = KeyedOrder<T>;
+
+    // The search target (key, v) in the erratum'd (hash, value) order.
+    struct Target {
+        const std::uint64_t key;
+        const T& v;
+        bool before(const Node* n) const {
+            return Order::node_precedes(n->kind, n->key, n->value, key, v);
+        }
+        bool matches(const Node* n) const {
+            return Order::node_matches(n->kind, n->key, n->value, key, v);
+        }
+    };
 
     using Guard = typename Domain::guard;
+    using HM = detail::HarrisMichael<Domain>;
+
+    // Runs add's splice and remove's mark; a lost CAS is a retry.
+    static constexpr auto kCountedStep = [](auto cas) {
+        const bool won = cas();
+        if (!won) obs::counter<obs::ev::list_cas_retries>::inc();
+        return won;
+    };
 
   public:
     using value_type = T;
@@ -75,51 +90,20 @@ class LockFreeListSet {
         // Sampled (1-in-16) so the probe cost amortizes below the op cost.
         obs::scoped_timer<obs::ev::list_op_ns, 4> op_latency;
         sim::op_scope op("LockFreeListSet::add");
-        const std::uint64_t key = KeyOf{}(v);
+        const Target t{KeyOf{}(v), v};
         Guard guard;
-        while (true) {
-            auto [pred, curr] = find(guard, key, v);
-            if (Order::node_matches(curr->kind, curr->key, curr->value, key,
-                                    v)) {
-                return false;
-            }
-            Node* node = new Node{NodeKind::kItem, key, v, {}};
-            node->next.store(curr, false);
-            // Splice in iff the window is still intact and unmarked.
-            if (pred->next.compare_and_set(curr, node, false, false)) {
-                return true;
-            }
-            delete node;  // never published: plain delete is fine
-            obs::counter<obs::ev::list_cas_retries>::inc();
-        }
+        const auto make = [&] {
+            return new Node{NodeKind::kItem, t.key, v, {}};
+        };
+        return HM::insert(guard, head_, t, make, kCountedStep).second;
     }
 
     bool remove(const T& v) {
         obs::scoped_timer<obs::ev::list_op_ns, 4> op_latency;  // sampled
         sim::op_scope op("LockFreeListSet::remove");
-        const std::uint64_t key = KeyOf{}(v);
+        const Target t{KeyOf{}(v), v};
         Guard guard;
-        while (true) {
-            auto [pred, curr] = find(guard, key, v);
-            if (!Order::node_matches(curr->kind, curr->key, curr->value, key,
-                                     v)) {
-                return false;
-            }
-            Node* succ = curr->next.load().ptr();
-            // Logical removal: mark curr's next.  Failure means another
-            // thread marked it (or the successor changed): retry the mark
-            // against the fresh successor via a full re-find.
-            if (!curr->next.attempt_mark(succ, true)) {
-                obs::counter<obs::ev::list_cas_retries>::inc();
-                continue;
-            }
-            // Best-effort physical unlink; find() will finish the job if
-            // this CAS loses.
-            if (pred->next.compare_and_set(curr, succ, false, false)) {
-                Domain::retire(curr);
-            }
-            return true;
-        }
+        return HM::remove(guard, head_, t, kCountedStep);
     }
 
     /// Membership test (Fig. 9.27).  Wait-free under a grace-period
@@ -128,85 +112,21 @@ class LockFreeListSet {
     bool contains(const T& v) {
         obs::scoped_timer<obs::ev::list_op_ns, 4> op_latency;  // sampled
         sim::op_scope op("LockFreeListSet::contains");
-        const std::uint64_t key = KeyOf{}(v);
+        const Target t{KeyOf{}(v), v};
         Guard guard;
         if constexpr (Domain::kProtects) {
-            auto [pred, curr] = find(guard, key, v);
-            (void)pred;
-            return Order::node_matches(curr->kind, curr->key, curr->value,
-                                       key, v);
+            return t.matches(HM::find(guard, head_, t).curr);
         } else {
             Node* curr = head_;
-            bool marked = false;
-            while (Order::node_precedes(curr->kind, curr->key, curr->value,
-                                        key, v)) {
-                curr = curr->next.get(&marked);
-            }
-            // One more read to get curr's own mark (the loop's `marked` is
-            // the mark seen on the way *into* curr).
-            curr->next.get(&marked);
-            return Order::node_matches(curr->kind, curr->key, curr->value,
-                                       key, v) &&
-                   !marked;
+            while (t.before(curr)) curr = curr->next.load().ptr();
+            return t.matches(curr) && !curr->next.load().marked();
         }
     }
 
   private:
-    using Order = KeyedOrder<T>;
-
-    /// The book's Window find(): returns adjacent unmarked (pred, curr)
-    /// with curr the first node not preceding (key, v), physically
-    /// unlinking every marked node encountered.  Guard slots: 0 = pred,
-    /// 1 = curr (Michael's rotating pair); the returned window stays
-    /// protected until the guard republishes or dies, which is what makes
-    /// the caller's CAS/mark on pred/curr safe under HP.
-    std::pair<Node*, Node*> find(Guard& g, std::uint64_t key, const T& v) {
-    retry:
-        while (true) {
-            Node* pred = head_;  // sentinel: never retired, needs no slot
-            Node* curr = pred->next.load().ptr();
-            while (true) {
-                if constexpr (Domain::kProtects) {
-                    // Publish curr, then re-read pred's link: while it
-                    // still names curr unmarked, curr is reachable from a
-                    // protected (or sentinel) node, hence not yet freed.
-                    g.template set<1>(curr);
-                    if (pred->next.load() != MarkedPtr<Node>(curr, false)) {
-                        obs::counter<obs::ev::list_find_restarts>::inc();
-                        goto retry;
-                    }
-                }
-                bool marked = false;
-                Node* succ = curr->next.get(&marked);
-                if (marked) {
-                    // curr is logically deleted: snip it out.  A failed
-                    // CAS means pred's next changed — start over.
-                    if (!pred->next.compare_and_set(curr, succ, false,
-                                                    false)) {
-                        obs::counter<obs::ev::list_find_restarts>::inc();
-                        goto retry;
-                    }
-                    Domain::retire(curr);
-                    curr = succ;  // re-protected (HP) at the loop top
-                    continue;
-                }
-                if (!Order::node_precedes(curr->kind, curr->key, curr->value,
-                                          key, v)) {
-                    return {pred, curr};
-                }
-                pred = curr;
-                if constexpr (Domain::kProtects) {
-                    // Rotate: curr (slot 1) becomes pred (slot 0); it
-                    // stays covered by slot 1 until the next publish.
-                    g.template set<0>(pred);
-                }
-                curr = succ;
-            }
-        }
-    }
-
     // Sentinels: allocated once, immutable pointers for the set's lifetime
     // (tail_ initialized first; head_->next is wired in the constructor).
+    // The tail stops every search.
     Node* const tail_ = new Node{NodeKind::kTail, 0, T{}, {}};
     Node* const head_ = new Node{NodeKind::kHead, 0, T{}, {}};
 };

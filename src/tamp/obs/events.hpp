@@ -120,6 +120,8 @@ struct msq_deq_retries {
 };
 
 // --- Harris–Michael list (lists/lockfree_list.hpp) ----------------------
+// find_restarts counts the shared core (lists/harris_michael.hpp), so it
+// includes the split-ordered table's searches; cas_retries is the list's.
 struct list_cas_retries {
     static constexpr const char* name = "list.cas_retries";
 };
@@ -183,6 +185,9 @@ struct kv_cas_retries {  // failed link/mark CAS attempts across map ops
 struct kv_scan_retries {  // scan gate validations that had to re-collect
     static constexpr const char* name = "kv.scan_retries";
 };
+// resizes and sentinel_installs count the split-ordered table itself
+// (hash/split_ordered.hpp), so SplitOrderedHashSet operations add to them
+// too; the per-op counters above are the map's and the store's.
 struct kv_resizes {  // bucket-count doublings (directory CAS wins)
     static constexpr const char* name = "kv.resizes";
 };

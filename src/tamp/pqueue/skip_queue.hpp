@@ -1,27 +1,28 @@
 // tamp/pqueue/skip_queue.hpp
 //
 // SkipQueue (§15.5, Figs. 15.7–15.9): the unbounded lock-free priority
-// queue built from a priority skiplist.  removeMin runs along the bottom
-// level and *logically* claims the first unclaimed node with one CAS on
-// its `claimed` flag — the linearization point — then lazily extracts the
-// corpse through the skiplist's ordinary remove machinery.  Contended
-// minimums thus cost one CAS each plus amortized cleanup, and the
-// structure is quiescently... in fact fully lock-free.
+// queue built, as the book composes its PrioritySkipList, from the
+// lock-free skiplist (tamp/skiplist/lockfree_skiplist.hpp).  add() is the
+// skiplist's add; try_remove_min() is its remove-the-least, which walks
+// the bottom level and claims the first unmarked node by winning its
+// bottom-level mark — the linearization point — then unlinks it through
+// the ordinary removal machinery.  Contended minimums thus cost one CAS
+// each plus amortized cleanup, and the structure is lock-free (the book
+// proves it quiescently consistent: a walker may pass an item inserted
+// behind it).
 //
-// Entries are (score, sequence) pairs — the sequence number makes every
-// insertion unique, so duplicate scores are fine (FIFO-ish among equals,
-// by insertion order of the tie-break).
+// Entries are (score, sequence) pairs ordered by score, then sequence —
+// the sequence number makes every insertion unique, so duplicate scores
+// are fine (FIFO-ish among equals, by insertion order of the tie-break).
 
 #pragma once
 
-#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <utility>
 
-#include "tamp/core/marked_ptr.hpp"
-#include "tamp/lists/keyed.hpp"
-#include "tamp/reclaim/domain.hpp"
-#include "tamp/skiplist/lazy_skiplist.hpp"  // level machinery
+#include "tamp/sim/atomic.hpp"
+#include "tamp/skiplist/lockfree_skiplist.hpp"
 
 namespace tamp {
 
@@ -32,199 +33,41 @@ class SkipQueue {
         std::uint64_t seq;
         T item;
 
+        // Unique by sequence number; the skiplist compares ScoreOf keys
+        // first, so this only breaks ties between equal scores.
         friend bool operator==(const Entry& a, const Entry& b) {
-            return a.score == b.score && a.seq == b.seq;
+            return a.seq == b.seq;
         }
-        friend bool operator<(const Entry& a, const Entry& b) {
-            return a.score != b.score ? a.score < b.score : a.seq < b.seq;
+        friend auto operator<=>(const Entry& a, const Entry& b) {
+            return a.seq <=> b.seq;
         }
     };
-
-    struct Node {
-        NodeKind kind;
-        Entry entry;
-        std::size_t top_level;
-        std::atomic<bool> claimed{false};  // "logically deleted" flag
-        AtomicMarkedPtr<Node> next[kSkipListMaxLevel];
-
-        Node(NodeKind k, Entry e, std::size_t top)
-            : kind(k), entry(std::move(e)), top_level(top) {}
+    // The skiplist's key is the score itself, so its bottom level runs in
+    // priority order.
+    struct ScoreOf {
+        std::uint64_t operator()(const Entry& e) const { return e.score; }
     };
 
   public:
     using value_type = T;
 
-    SkipQueue() {
-        tail_ = new Node(NodeKind::kTail, Entry{}, kSkipListMaxLevel - 1);
-        head_ = new Node(NodeKind::kHead, Entry{}, kSkipListMaxLevel - 1);
-        for (std::size_t l = 0; l < kSkipListMaxLevel; ++l) {
-            head_->next[l].store(tail_, false);
-            tail_->next[l].store(nullptr, false);
-        }
-    }
-
-    ~SkipQueue() {
-        Node* n = head_;
-        while (n != nullptr) {
-            Node* next = n->next[0].load(std::memory_order_relaxed).ptr();
-            delete n;
-            n = next;
-        }
-    }
-
-    SkipQueue(const SkipQueue&) = delete;
-    SkipQueue& operator=(const SkipQueue&) = delete;
-
     /// Insert `item` with priority `score` (lower = removed earlier).
     void add(const T& item, std::uint64_t score) {
-        Entry e{score, seq_.fetch_add(1, std::memory_order_relaxed), item};
-        const std::size_t top_level = random_skiplist_level();
-        Node* preds[kSkipListMaxLevel];
-        Node* succs[kSkipListMaxLevel];
-        reclaim::ebr::guard guard;
-        while (true) {
-            find(e, preds, succs);  // entries are unique: never found
-            Node* node = new Node(NodeKind::kItem, e, top_level);
-            for (std::size_t l = 0; l <= top_level; ++l) {
-                node->next[l].store(succs[l], false);
-            }
-            if (!preds[0]->next[0].compare_and_set(succs[0], node, false,
-                                                   false)) {
-                delete node;
-                continue;
-            }
-            for (std::size_t l = 1; l <= top_level; ++l) {
-                while (true) {
-                    bool marked = false;
-                    Node* expected = node->next[l].get(&marked);
-                    if (marked) return;
-                    if (expected != succs[l] &&
-                        !node->next[l].compare_and_set(expected, succs[l],
-                                                       false, false)) {
-                        return;
-                    }
-                    if (preds[l]->next[l].compare_and_set(succs[l], node,
-                                                          false, false)) {
-                        break;
-                    }
-                    find(e, preds, succs);
-                    if (succs[0] != node) return;
-                }
-            }
-            return;
-        }
+        list_.add(
+            Entry{score, seq_.fetch_add(1, std::memory_order_relaxed), item});
     }
 
     /// Claim and extract the minimum; false when empty.
     bool try_remove_min(T& out) {
-        reclaim::ebr::guard guard;
-        Node* victim = find_and_mark_min();
-        if (victim == nullptr) return false;
-        out = victim->entry.item;
-        remove_node(victim);
+        Entry e{};
+        if (!list_.try_remove_min(e)) return false;
+        out = std::move(e.item);
         return true;
     }
 
   private:
-
-    /// Walk the bottom level; CAS-claim the first unclaimed, unmarked
-    /// node (Fig. 15.9's findAndMarkMin).
-    Node* find_and_mark_min() {
-        Node* curr = head_->next[0].load().ptr();
-        while (curr != nullptr && curr->kind != NodeKind::kTail) {
-            bool marked = false;
-            curr->next[0].get(&marked);
-            if (!marked &&
-                !curr->claimed.load(std::memory_order_acquire)) {
-                bool expected = false;
-                // One attempt per node: the walk moves on past a lost
-                // claim, and a *spurious* failure here would skip an
-                // unclaimed minimum — _strong is required for the min
-                // guarantee.  tamp-lint: allow(cas-strong-loop)
-                if (curr->claimed.compare_exchange_strong(
-                        expected, true, std::memory_order_acq_rel,
-                        std::memory_order_acquire)) {
-                    return curr;  // ours — the linearization point
-                }
-            }
-            curr = curr->next[0].load().ptr();
-        }
-        return nullptr;
-    }
-
-    /// Standard multi-level logical-then-physical removal of a specific
-    /// node we have claimed (cf. LockFreeSkipList::remove).
-    void remove_node(Node* victim) {
-        for (std::size_t l = victim->top_level; l >= 1; --l) {
-            bool marked = false;
-            Node* succ = victim->next[l].get(&marked);
-            while (!marked) {
-                victim->next[l].attempt_mark(succ, true);
-                succ = victim->next[l].get(&marked);
-            }
-        }
-        bool marked = false;
-        Node* succ = victim->next[0].get(&marked);
-        while (true) {
-            const bool i_marked_it =
-                victim->next[0].compare_and_set(succ, succ, false, true);
-            succ = victim->next[0].get(&marked);
-            if (i_marked_it) {
-                Node* preds[kSkipListMaxLevel];
-                Node* succs[kSkipListMaxLevel];
-                find(victim->entry, preds, succs);  // snips all levels
-                reclaim::ebr::retire(victim);
-                return;
-            }
-            if (marked) return;  // somebody's find marked it?  (claimed
-                                 // nodes are only removed by the claimer,
-                                 // so this arm is defensive)
-        }
-    }
-
-    bool find(const Entry& e, Node** preds, Node** succs) {
-    retry:
-        while (true) {
-            Node* pred = head_;
-            for (std::size_t l = kSkipListMaxLevel; l-- > 0;) {
-                Node* curr = pred->next[l].load().ptr();
-                while (true) {
-                    bool marked = false;
-                    Node* succ = curr->next[l].get(&marked);
-                    while (marked) {
-                        if (!pred->next[l].compare_and_set(curr, succ,
-                                                           false, false)) {
-                            goto retry;
-                        }
-                        curr = succ;
-                        succ = curr->next[l].get(&marked);
-                    }
-                    if (precedes(curr, e)) {
-                        pred = curr;
-                        curr = succ;
-                    } else {
-                        break;
-                    }
-                }
-                preds[l] = pred;
-                succs[l] = curr;
-            }
-            return matches(succs[0], e);
-        }
-    }
-
-    static bool precedes(const Node* n, const Entry& e) {
-        if (n->kind == NodeKind::kHead) return true;
-        if (n->kind == NodeKind::kTail) return false;
-        return n->entry < e;
-    }
-    static bool matches(const Node* n, const Entry& e) {
-        return n->kind == NodeKind::kItem && n->entry == e;
-    }
-
-    Node* head_;
-    Node* tail_;
-    std::atomic<std::uint64_t> seq_{0};
+    LockFreeSkipList<Entry, ScoreOf> list_;
+    tamp::atomic<std::uint64_t> seq_{0};
 };
 
 }  // namespace tamp

@@ -84,7 +84,7 @@ void GracePeriodDomain<P>::retire(void* p, void (*deleter)(void*)) {
         // The slot last held period now-3 or older (same residue): its
         // grace period expired long ago, so free in place — the amortized
         // reclamation point of the lock-free fast path.
-        expire(b, now);
+        obs::counter<typename P::freed>::inc(expire(b, now));
         b.period = now;
     }
     b.nodes.push_back(reclaim_detail::RetiredNode{p, deleter});

@@ -52,10 +52,7 @@ class LockFreeSkipList {
     LockFreeSkipList() {
         tail_ = new Node(NodeKind::kTail, 0, T{}, kSkipListMaxLevel - 1);
         head_ = new Node(NodeKind::kHead, 0, T{}, kSkipListMaxLevel - 1);
-        for (std::size_t l = 0; l < kSkipListMaxLevel; ++l) {
-            head_->next[l].store(tail_, false);
-            tail_->next[l].store(nullptr, false);
-        }
+        for (auto& link : head_->next) link.store(tail_, false);
     }
 
     ~LockFreeSkipList() {
@@ -121,10 +118,44 @@ class LockFreeSkipList {
         Node* preds[kSkipListMaxLevel];
         Node* succs[kSkipListMaxLevel];
         typename Domain::guard guard;
-        if (!find(key, v, preds, succs)) return false;
-        Node* victim = succs[0];
-        // Mark the shortcut levels top-down (idempotent, any thread may
-        // help by failing our attempt having done it themselves).
+        return find(key, v, preds, succs) && remove_node(succs[0]);
+    }
+
+    /// Remove the least element — first in (KeyOf, value) order — into
+    /// `out`; false when empty.  Walks the bottom level and runs remove()'s
+    /// step on each unmarked node until it wins one: the claim of the
+    /// book's PrioritySkipList (Fig. 15.9's findAndMarkMin), so racing
+    /// remove(v) and try_remove_min() calls take each element once.
+    bool try_remove_min(T& out) {
+        typename Domain::guard guard;
+        for (Node* curr = head_->next[0].load().ptr(); curr != tail_;
+             curr = curr->next[0].load().ptr()) {
+            if (!curr->next[0].load().marked() && remove_node(curr)) {
+                out = curr->value;  // retired, but the guard still pins it
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /// Wait-free membership test (Fig. 14.19): find()'s walk, skimming
+    /// past marked nodes instead of repairing them.
+    bool contains(const T& v) {
+        const std::uint64_t key = KeyOf{}(v);
+        Node* preds[kSkipListMaxLevel];
+        Node* succs[kSkipListMaxLevel];
+        typename Domain::guard guard;
+        return find<false>(key, v, preds, succs);
+    }
+
+  private:
+    using Order = KeyedOrder<T>;
+
+    /// The removal step remove() and try_remove_min() share: mark the
+    /// shortcut levels top-down (idempotent — racers help), then race for
+    /// the bottom-level mark, the linearization point with a unique
+    /// winner.  The winner unlinks victim on every level and retires it.
+    bool remove_node(Node* victim) {
         for (std::size_t l = victim->top_level; l >= 1; --l) {
             bool marked = false;
             Node* succ = victim->next[l].get(&marked);
@@ -133,96 +164,60 @@ class LockFreeSkipList {
                 succ = victim->next[l].get(&marked);
             }
         }
-        // Bottom-level mark: the linearization point, with a unique
-        // winner.
-        bool marked = false;
-        Node* succ = victim->next[0].get(&marked);
-        while (true) {
-            const bool i_marked_it =
-                victim->next[0].compare_and_set(succ, succ, false, true);
+        Node* succ = victim->next[0].load().ptr();
+        while (!victim->next[0].compare_and_set(succ, succ, false, true)) {
+            // Lost: somebody else won the removal, or succ changed under
+            // us (an insert after victim) — retry with the fresh one.
+            bool marked = false;
             succ = victim->next[0].get(&marked);
-            if (i_marked_it) {
-                // Physically unlink on all levels; when this find returns
-                // the victim is unreachable (see header comment) and we,
-                // the unique winner, retire it.
-                find(key, v, preds, succs);
-                Domain::retire(victim);
-                return true;
-            }
-            if (marked) return false;  // somebody else won the removal
-            // Otherwise succ changed under us (an insert after victim or
-            // an upper-level change): retry with the fresh successor.
+            if (marked) return false;
         }
+        // Unlink on all levels; when this find returns the victim is
+        // unreachable (see header comment) and we, the unique winner,
+        // retire it.
+        Node* preds[kSkipListMaxLevel];
+        Node* succs[kSkipListMaxLevel];
+        find(victim->key, victim->value, preds, succs);
+        Domain::retire(victim);
+        return true;
     }
 
-    /// Wait-free membership test (Fig. 14.19): no snipping, just skim.
-    bool contains(const T& v) {
-        const std::uint64_t key = KeyOf{}(v);
-        typename Domain::guard guard;
+    /// The multi-level window search (Fig. 14.18): fills preds/succs at
+    /// every level, snipping marked nodes encountered on the path (with
+    /// kSnip; contains() skims past them).  Returns whether the
+    /// bottom-level successor matches (key, v).
+    template <bool kSnip = true>
+    bool find(std::uint64_t key, const T& v, Node** preds, Node** succs) {
+    retry:
         Node* pred = head_;
-        Node* curr = nullptr;
         for (std::size_t l = kSkipListMaxLevel; l-- > 0;) {
-            curr = pred->next[l].load().ptr();
+            Node* curr = pred->next[l].load().ptr();
             while (true) {
                 bool marked = false;
                 Node* succ = curr->next[l].get(&marked);
-                // Skim past marked nodes without repairing.
                 while (marked) {
+                    if (kSnip && !pred->next[l].compare_and_set(
+                                     curr, succ, false, false)) {
+                        goto retry;
+                    }
+                    // Snips never retire: only the bottom-mark winner
+                    // may, once the node is globally unreachable.
                     curr = succ;
                     succ = curr->next[l].get(&marked);
                 }
-                if (Order::node_precedes(curr->kind, curr->key, curr->value,
-                                         key, v)) {
+                if (Order::node_precedes(curr->kind, curr->key,
+                                         curr->value, key, v)) {
                     pred = curr;
                     curr = succ;
                 } else {
                     break;
                 }
             }
+            preds[l] = pred;
+            succs[l] = curr;
         }
-        return Order::node_matches(curr->kind, curr->key, curr->value, key,
-                                   v);
-    }
-
-  private:
-    using Order = KeyedOrder<T>;
-
-    /// The multi-level window search (Fig. 14.18): fills preds/succs at
-    /// every level, snipping marked nodes encountered on the path.
-    /// Returns whether the bottom-level successor matches (key, v).
-    bool find(std::uint64_t key, const T& v, Node** preds, Node** succs) {
-    retry:
-        while (true) {
-            Node* pred = head_;
-            for (std::size_t l = kSkipListMaxLevel; l-- > 0;) {
-                Node* curr = pred->next[l].load().ptr();
-                while (true) {
-                    bool marked = false;
-                    Node* succ = curr->next[l].get(&marked);
-                    while (marked) {
-                        if (!pred->next[l].compare_and_set(curr, succ,
-                                                           false, false)) {
-                            goto retry;
-                        }
-                        // Snips never retire: only the bottom-mark winner
-                        // may, once the node is globally unreachable.
-                        curr = succ;
-                        succ = curr->next[l].get(&marked);
-                    }
-                    if (Order::node_precedes(curr->kind, curr->key,
-                                             curr->value, key, v)) {
-                        pred = curr;
-                        curr = succ;
-                    } else {
-                        break;
-                    }
-                }
-                preds[l] = pred;
-                succs[l] = curr;
-            }
-            return Order::node_matches(succs[0]->kind, succs[0]->key,
-                                       succs[0]->value, key, v);
-        }
+        return Order::node_matches(succs[0]->kind, succs[0]->key,
+                                   succs[0]->value, key, v);
     }
 
     Node* head_;

@@ -806,7 +806,7 @@ TEST(SimBugs, TtasStatisticInsideLockPassesExhaustively) {
 }
 
 // ===========================================================================
-// Bug 8 — QSBR quiescence reported mid-operation: the reader copies the
+// Bug 10 — QSBR quiescence reported mid-operation: the reader copies the
 // global interval into its `seen` counter *before* it is done with the
 // pointer it loaded.  That report is a promise ("I hold no shared
 // pointers") the reader then breaks: the collector may legitimately run a
@@ -904,7 +904,7 @@ TEST(SimBugs, QsbrQuiescenceAfterLastUsePassesExhaustively) {
 }
 
 // ===========================================================================
-// Bug 9 — split-ordered lazy bucket init with the publish order flipped:
+// Bug 11 — split-ordered lazy bucket init with the publish order flipped:
 // the initializer CAS-publishes its sentinel into the directory cell
 // *before* linking it into the parent's chain (tamp::kv's get_bucket
 // does the opposite — tests/sim_test.cpp proves that order).  A rival
@@ -1066,11 +1066,11 @@ TEST(SimBugs, SentinelLinkedBeforePublishPassesExhaustively) {
 }
 
 // ===========================================================================
-// Bug 10 — EBR unpin before the last dereference: the reader pins, loads
+// Bug 12 — EBR unpin before the last dereference: the reader pins, loads
 // the pointer, then goes idle *before* it is done with it.  Idle promises
 // "I hold nothing", so the collector may legitimately advance twice and
 // free the node between the unpin and the dereference.  The EBR twin of
-// Bug 8 (a guard that ends too early); the fixed order — unpin after the
+// Bug 10 (a guard that ends too early); the fixed order — unpin after the
 // last use — is tests/sim_test.cpp's
 // SimEbr.GracePeriodNeverFreesNodeInsidePinnedSection, same collector.
 // ===========================================================================

@@ -45,6 +45,7 @@ TEST(SimProgress, RequiresTampSimBuild) {
 #include <vector>
 
 #include "tamp/consensus/universal.hpp"
+#include "tamp/hash/split_ordered.hpp"
 #include "tamp/lists/lazy_list.hpp"
 #include "tamp/lists/lockfree_list.hpp"
 #include "tamp/mutex/bakery.hpp"
@@ -263,6 +264,28 @@ static std::vector<CatalogEntry> catalog() {
                      // Both threads hammer the same key: every CAS is
                      // contended, so a delayed thread keeps re-traversing —
                      // the retry loop the starvation probe must exhibit.
+                     ts.emplace_back([set] {
+                         for (int i = 0; i < 12; ++i) {
+                             set->add(1);
+                             (void)set->contains(1);
+                             set->remove(1);
+                         }
+                     });
+                 }
+                 for (auto& t : ts) t.join();
+             });
+         }});
+
+    // The split-ordered table's list is the same Harris–Michael window, so
+    // the same contended single-key workload must show the same class.
+    rows.push_back(
+        {"SplitOrderedHashSet", "lock-free split-ordered set (§13.3)",
+         sim::ProgressClass::kLockFree, [] {
+             return sim::classify_progress(structure_probe_options(), [] {
+                 auto set =
+                     std::make_shared<tamp::SplitOrderedHashSet<int>>();
+                 std::vector<sim::thread> ts;
+                 for (int t = 0; t < 2; ++t) {
                      ts.emplace_back([set] {
                          for (int i = 0; i < 12; ++i) {
                              set->add(1);

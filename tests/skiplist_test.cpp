@@ -149,4 +149,34 @@ TYPED_TEST(SkipListTest, ContainsDuringChurnNeverSeesLostKeys) {
     churner.join();
 }
 
+// remove() and try_remove_min() share one removal step — mark the upper
+// levels, then race for the bottom-level mark — so threads taking the
+// least element and threads removing named keys split the keys between
+// them: every key is won exactly once, and no key comes back twice.
+TEST(LockFreeSkipListRemoveMin, RacesRemoveExactlyOnce) {
+    LockFreeSkipList<int> s;
+    constexpr int kKeys = 2000;
+    for (int v = 0; v < kKeys; ++v) ASSERT_TRUE(s.add(v));
+    std::atomic<int> wins[kKeys] = {};
+    run_threads(4, [&](std::size_t me) {
+        if (me % 2 == 0) {
+            int out;
+            while (s.try_remove_min(out)) wins[out].fetch_add(1);
+        } else {
+            for (int i = 0; i < kKeys; ++i) {
+                const int v = me == 1 ? i : kKeys - 1 - i;
+                if (s.remove(v)) wins[v].fetch_add(1);
+            }
+        }
+    });
+    int total = 0;
+    for (int v = 0; v < kKeys; ++v) {
+        EXPECT_EQ(wins[v].load(), 1) << v;
+        total += wins[v].load();
+    }
+    EXPECT_EQ(total, kKeys);
+    int out;
+    EXPECT_FALSE(s.try_remove_min(out));
+}
+
 }  // namespace
