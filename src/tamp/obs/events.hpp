@@ -76,8 +76,11 @@ struct epoch_retired {
 struct epoch_freed {
     static constexpr const char* name = "epoch.freed";
 };
-struct epoch_collects {
+struct epoch_collects {  // collects that ran the barrier and straggler check
     static constexpr const char* name = "epoch.collects";
+};
+struct epoch_shared {  // batches served by another thread's advance
+    static constexpr const char* name = "epoch.shared";
 };
 struct epoch_advances {
     static constexpr const char* name = "epoch.advances";
@@ -90,8 +93,11 @@ struct qsbr_retired {
 struct qsbr_freed {
     static constexpr const char* name = "qsbr.freed";
 };
-struct qsbr_collects {
+struct qsbr_collects {  // collects that ran the barrier and straggler check
     static constexpr const char* name = "qsbr.collects";
+};
+struct qsbr_shared {  // batches served by another thread's advance
+    static constexpr const char* name = "qsbr.shared";
 };
 struct qsbr_advances {
     static constexpr const char* name = "qsbr.advances";
@@ -207,10 +213,10 @@ struct spin_acquire_ns {  // lock() entry -> acquisition complete
 struct hp_scan_ns {  // one HazardDomain::scan(): the reclaim "stall"
     static constexpr const char* name = "hp.scan_ns";
 };
-struct epoch_collect_ns {  // one EpochDomain::collect()
+struct epoch_collect_ns {  // one EpochDomain barrier collect, frees excluded
     static constexpr const char* name = "epoch.collect_ns";
 };
-struct qsbr_collect_ns {  // one QsbrDomain::collect()
+struct qsbr_collect_ns {  // one QsbrDomain barrier collect, frees excluded
     static constexpr const char* name = "qsbr.collect_ns";
 };
 

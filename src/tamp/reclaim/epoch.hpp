@@ -37,6 +37,7 @@ struct EbrPolicy {
     using retired = obs::ev::epoch_retired;
     using freed = obs::ev::epoch_freed;
     using collects = obs::ev::epoch_collects;
+    using shared = obs::ev::epoch_shared;
     using advances = obs::ev::epoch_advances;
     using collect_ns = obs::ev::epoch_collect_ns;
     using announces = void;  // a pin per operation: not worth a counter

@@ -1,7 +1,8 @@
 #include "tamp/reclaim/grace_period.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <cstddef>
+#include <limits>
 
 #include "tamp/obs/timer.hpp"
 #include "tamp/obs/trace.hpp"
@@ -12,30 +13,71 @@ namespace tamp {
 
 namespace {
 
-// Free `b` if its grace period has passed by period `now`: a node retired
-// at period t was unlinked before its retire, so only a thread announced
-// at t or earlier can still hold it, and the period cannot pass t+1 until
+using reclaim_detail::RetiredNode;
+
+constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+
+// Has the grace period of `b` passed by period `now`?  A node retired at
+// period t was unlinked before its retire, so only a thread announced at
+// t or earlier can still hold it, and the period cannot pass t+1 until
 // every such thread has announced again (having dropped the reference)
-// or gone idle — so at t+2 nobody holds it.  Returns the number freed.
+// or gone idle — so at t+2 nobody holds it.  The rule reads only the
+// period value, so it holds whichever thread advanced it.
 template <typename Bucket>
-std::size_t expire(Bucket& b, std::uint64_t now) {
-    if (b.nodes.empty() || b.period + 2 > now) return 0;
-    std::vector<reclaim_detail::RetiredNode> stale;
-    stale.swap(b.nodes);  // a deleter may retire into this bucket
-    for (const reclaim_detail::RetiredNode& rn : stale) rn.free();
-    return stale.size();
+bool aged(const Bucket& b, std::uint64_t now) {
+    return b.period + 2 <= now;
+}
+
+// Move `nodes` to the ready list.  The list has usually been drained by
+// the time a bucket ages, so this is a swap, not a copy.
+void make_ready(std::vector<RetiredNode>& ready,
+                std::vector<RetiredNode>& nodes) {
+    if (ready.empty()) {
+        ready.swap(nodes);
+    } else {
+        ready.insert(ready.end(), nodes.begin(), nodes.end());
+        nodes.clear();
+    }
+}
+
+// Move every bucket of `rec` whose grace period has passed by `now` to
+// its ready list.
+template <typename Record>
+void age(Record& rec, std::uint64_t now) {
+    for (auto& b : rec.buckets) {
+        if (aged(b, now)) make_ready(rec.ready, b.nodes);
+    }
+}
+
+// Free up to `limit` nodes from the ready list.  Each node leaves the
+// list before its deleter runs: a deleter may retire, and so append.
+template <typename Record>
+std::size_t free_ready(Record& rec, std::size_t limit) {
+    std::size_t n = 0;
+    for (; n < limit && !rec.ready.empty(); ++n) {
+        const RetiredNode rn = rec.ready.back();
+        rec.ready.pop_back();
+        rn.free();
+    }
+    return n;
 }
 
 template <typename Record>
-std::size_t local_pending(const Record& rec) {
-    return rec.buckets[0].nodes.size() + rec.buckets[1].nodes.size() +
-           rec.buckets[2].nodes.size();
+void publish_pending(Record& rec) {
+    std::size_t n = rec.ready.size();
+    for (const auto& b : rec.buckets) n += b.nodes.size();
+    rec.pending.store(n, std::memory_order_relaxed);
 }
 
 }  // namespace
 
 template <typename P>
 GracePeriodDomain<P>::GracePeriodDomain() {
+    // period_ is loaded on every pin and retire; keep the registry lock,
+    // which every registration, pending() and collect writes, off its
+    // line.
+    static_assert(offsetof(GracePeriodDomain, mu_) >=
+                  offsetof(GracePeriodDomain, period_) + kCacheLineSize);
     asym::init();
 }
 
@@ -62,6 +104,10 @@ GracePeriodDomain<P>::Record::Record()
 template <typename P>
 GracePeriodDomain<P>::Record::~Record() {
     GracePeriodDomain& dom = global();
+    // What has aged is safe to free now; only young buckets are orphaned.
+    // Outside the lock: a deleter may retire, and a retire may collect.
+    age(*this, dom.current());
+    obs::counter<typename P::freed>::inc(free_ready(*this, kAll));
     std::lock_guard<std::mutex> guard(dom.mu_);
     std::erase(dom.records_, this);
     for (Bucket& b : buckets) {
@@ -82,25 +128,32 @@ void GracePeriodDomain<P>::retire(void* p, void (*deleter)(void*)) {
     Bucket& b = rec.buckets[now % 3];
     if (b.period != now) {
         // The slot last held period now-3 or older (same residue): its
-        // grace period expired long ago, so free in place — the amortized
-        // reclamation point of the lock-free fast path.
-        obs::counter<typename P::freed>::inc(expire(b, now));
+        // grace period expired long ago.
+        make_ready(rec.ready, b.nodes);
         b.period = now;
     }
-    b.nodes.push_back(reclaim_detail::RetiredNode{p, deleter});
-    rec.pending.store(local_pending(rec), std::memory_order_relaxed);
+    b.nodes.push_back(RetiredNode{p, deleter});
     obs::counter<typename P::retired>::inc();
     if (++rec.since_collect >= kCollectThreshold) {
         rec.since_collect = 0;
-        collect();
+        if (now > rec.collected_at) {
+            // Another thread advanced the period since this thread's last
+            // attempt: that grace period serves this batch too.
+            obs::counter<typename P::shared>::inc();
+            rec.collected_at = now;
+            age(rec, now);
+        } else {
+            age(rec, advance(rec));
+        }
     }
+    obs::counter<typename P::freed>::inc(free_ready(rec, kFreeBatch));
+    publish_pending(rec);
 }
 
 template <typename P>
-void GracePeriodDomain<P>::collect() {
+std::uint64_t GracePeriodDomain<P>::advance(Record& rec) {
     obs::scoped_timer<typename P::collect_ns> collect_latency;
     obs::counter<typename P::collects>::inc();
-    Record& rec = record();
     const std::uint64_t now = period_.load(std::memory_order_seq_cst);
     // Make every announcement visible before judging stragglers
     // (membarrier under the asymmetric protocol; the fallback's
@@ -132,26 +185,29 @@ void GracePeriodDomain<P>::collect() {
             }
         }
     }
-    std::uint64_t freed = 0;
-    for (Bucket& b : rec.buckets) freed += expire(b, cur);
-    rec.pending.store(local_pending(rec), std::memory_order_relaxed);
+    rec.collected_at = cur;
     // Adopt orphaned buckets that are old enough; leave younger ones for
     // a later collect.
     if (has_orphans_.load(std::memory_order_acquire)) {
-        std::vector<Bucket> ready;
-        {
-            std::lock_guard<std::mutex> guard(mu_);
-            const auto young = std::partition(
-                orphans_.begin(), orphans_.end(),
-                [cur](const Bucket& b) { return b.period + 2 <= cur; });
-            ready.assign(std::make_move_iterator(orphans_.begin()),
-                         std::make_move_iterator(young));
-            orphans_.erase(orphans_.begin(), young);
-            has_orphans_.store(!orphans_.empty(), std::memory_order_relaxed);
+        std::lock_guard<std::mutex> guard(mu_);
+        const auto young = std::partition(
+            orphans_.begin(), orphans_.end(),
+            [cur](const Bucket& b) { return aged(b, cur); });
+        for (auto it = orphans_.begin(); it != young; ++it) {
+            make_ready(rec.ready, it->nodes);
         }
-        for (Bucket& b : ready) freed += expire(b, cur);
+        orphans_.erase(orphans_.begin(), young);
+        has_orphans_.store(!orphans_.empty(), std::memory_order_relaxed);
     }
-    obs::counter<typename P::freed>::inc(freed);
+    return cur;
+}
+
+template <typename P>
+void GracePeriodDomain<P>::collect() {
+    Record& rec = record();
+    age(rec, advance(rec));
+    obs::counter<typename P::freed>::inc(free_ready(rec, kAll));
+    publish_pending(rec);
 }
 
 template <typename P>

@@ -25,10 +25,17 @@
 //  * collect() advances the period by CAS (one winner) when no announced
 //    thread lags;
 //  * retirement is thread-local into three period-tagged buckets — no
-//    lock, no shared cacheline on the retire path — flushed in batches
-//    once the period has moved two past their tag;
-//  * exiting threads unregister and orphan their buckets for later
-//    collects to adopt.
+//    lock, no shared cacheline on the retire path.  Once the period has
+//    moved two past a bucket's tag, its nodes move to the thread's ready
+//    list, and each retire() frees at most kFreeBatch of them;
+//  * a thread attempts a grace period once per kCollectThreshold
+//    retires.  If the period has advanced since its last attempt,
+//    another thread's advance serves the batch (perfbook's batched,
+//    shared grace periods): the thread ages its buckets against it and
+//    skips the barrier and the lock.  Only a thread that saw no advance
+//    runs the membarrier, the straggler check and the CAS;
+//  * exiting threads free their aged nodes, unregister, and orphan the
+//    rest for later collects to adopt.
 //
 // The template is explicitly instantiated for the two policies in
 // grace_period.cpp (EpochDomain and QsbrDomain are the aliases).  A
@@ -39,7 +46,7 @@
 //                       (EBR); also whether drain() announces for the
 //                       caller and reclaim::*::quiescent() reports
 //   kTracesAdvance      emit the epoch_advance trace event
-//   retired, freed, collects, advances, collect_ns
+//   retired, freed, collects, shared, advances, collect_ns
 //                       the scheme's obs tags
 //   announces           obs tag counted per announce(), or void
 
@@ -62,8 +69,22 @@ namespace tamp {
 template <typename Policy>
 class GracePeriodDomain {
   public:
-    /// Per-thread retirements between advance/collect attempts.
-    static constexpr std::size_t kCollectThreshold = 64;
+    /// Per-thread retirements between grace-period attempts.  On a 4-vCPU
+    /// KVM host (Xeon, 2.0 GHz), one membarrier costs its caller ≈4.6 µs
+    /// with two busy siblings and each sibling ≈1.8 µs of interrupt time
+    /// (bench_reclaim's BM_HeavyBarrier), so with 3 threads retiring a
+    /// barrier costs the process ≈8.2 µs.  At 64 retires per batch that
+    /// is ≈130 ns per retire, a tenth of a KV delete; at 1024 it is
+    /// ≈8 ns, under 1%, before sharing divides it further.  A larger
+    /// batch buys little more and keeps three buckets of it per thread
+    /// unfreed.
+    static constexpr std::size_t kCollectThreshold = 1024;
+    /// Most aged nodes one retire() frees, so a bucket that ages at once
+    /// is freed across kCollectThreshold / kFreeBatch calls.  The nodes
+    /// are cold by then: at 128 per call the bursts pushed the KV churn
+    /// workload's delete p999 above what the 64-retire collects cost, at
+    /// 32 they stayed under it (EXPERIMENTS.md A5).
+    static constexpr std::size_t kFreeBatch = 32;
     /// `announced` of a thread that gates no grace period.  The largest
     /// value, so an idle record never reads as lagging.
     static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
@@ -77,14 +98,16 @@ class GracePeriodDomain {
     /// Per-thread record.  `announced` is read by every collector and
     /// `pending` is summed by pending(); everything else is owner-only.
     /// Construction registers the record (announced at the current
-    /// period or idle, per the policy); destruction unregisters it and
-    /// orphans any un-freed buckets.
+    /// period or idle, per the policy); destruction frees the aged nodes,
+    /// unregisters the record and orphans the buckets still young.
     struct alignas(kCacheLineSize) Record {
         std::atomic<std::uint64_t> announced;
         std::uint32_t nesting = 0;  // read-section depth
         std::uint32_t exits = 0;    // outermost exits since an announce
         Bucket buckets[3];
+        std::vector<reclaim_detail::RetiredNode> ready;  // grace period over
         std::size_t since_collect = 0;
+        std::uint64_t collected_at = 0;  // period at the last attempt
         alignas(kCacheLineSize) std::atomic<std::size_t> pending{0};
 
         Record();
@@ -130,10 +153,14 @@ class GracePeriodDomain {
         record().announced.store(kIdle, std::memory_order_release);
     }
 
-    /// Hand `p` to the domain; freed two period advances later.
+    /// Hand `p` to the domain; freed two period advances later, by a
+    /// later retire() (at most kFreeBatch per call), collect() or drain()
+    /// of this thread, or at its exit.
     void retire(void* p, void (*deleter)(void*));
 
-    /// Try to advance the period and free the buckets it has aged out.
+    /// Try to advance the period (membarrier, straggler check, CAS) and
+    /// free everything of this thread's that has aged out, plus old
+    /// enough orphans.
     void collect();
 
     /// Free everything freeable, for tests and phase boundaries in
@@ -153,12 +180,20 @@ class GracePeriodDomain {
   private:
     GracePeriodDomain();
 
+    /// The barrier half of collect(): membarrier, straggler check, CAS,
+    /// then adopt old enough orphans into the caller's ready list.
+    /// Returns the period after the attempt.
+    std::uint64_t advance(Record& rec);
+
+    // Loaded by every announce() and retire(): alone on its line.
     alignas(kCacheLineSize) std::atomic<std::uint64_t> period_{0};
 
     // Live records (collectors walk them for stragglers; pending() sums
     // them) and buckets orphaned by exited threads, adopted by later
     // collects.  has_orphans_ keeps the common collect off the lock.
-    mutable std::mutex mu_;
+    // Registration, pending() and every barrier collect write mu_, so it
+    // starts a line of its own.
+    alignas(kCacheLineSize) mutable std::mutex mu_;
     std::vector<Record*> records_;
     std::vector<Bucket> orphans_;
     alignas(kCacheLineSize) std::atomic<bool> has_orphans_{false};

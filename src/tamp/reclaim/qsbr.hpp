@@ -46,6 +46,7 @@ struct QsbrPolicy {
     using retired = obs::ev::qsbr_retired;
     using freed = obs::ev::qsbr_freed;
     using collects = obs::ev::qsbr_collects;
+    using shared = obs::ev::qsbr_shared;
     using advances = obs::ev::qsbr_advances;
     using collect_ns = obs::ev::qsbr_collect_ns;
     using announces = obs::ev::qsbr_quiescences;

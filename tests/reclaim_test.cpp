@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <thread>
 
+#include "tamp/obs/counter.hpp"
 #include "tamp/reclaim/reclaim.hpp"
 #include "test_util.hpp"
 
@@ -337,6 +341,163 @@ TYPED_TEST(DomainAdapter, NameIsStable) {
     const char* n = D::name();
     ASSERT_NE(n, nullptr);
     EXPECT_GT(std::char_traits<char>::length(n), 0u);
+}
+
+// ------------------------------------------------- grace-period batching
+//
+// The retire side of the engine EBR and QSBR share
+// (tamp/reclaim/grace_period.hpp): a batch that fills after another
+// thread advanced the period shares that grace period instead of running
+// the barrier, and aged nodes wait on a ready list that each retire()
+// frees at most kFreeBatch of.  The retiring bodies run on fresh threads,
+// so each starts with an empty record; every thread that touches the
+// domain goes idle first so that it never holds the period back.
+
+std::atomic<std::uint64_t> g_deleted{0};
+
+void counting_delete(void* p) {
+    delete static_cast<int*>(p);
+    g_deleted.fetch_add(1, std::memory_order_relaxed);
+}
+
+template <typename Policy>
+class GracePeriodBatch : public ::testing::Test {
+  protected:
+    using Domain = GracePeriodDomain<Policy>;
+
+    GracePeriodBatch() { dom().idle(); }
+
+    static Domain& dom() { return Domain::global(); }
+
+    static void retire_one() { dom().retire(new int(0), counting_delete); }
+
+    // Retire until a whole bucket has aged onto the ready list and is
+    // waiting there; returns the number retired.
+    static std::size_t retire_until_ready() {
+        std::size_t retired = 0;
+        while (Domain::record().ready.empty()) {
+            retire_one();
+            ++retired;
+            if (retired > 8 * Domain::kCollectThreshold) {
+                ADD_FAILURE() << "no bucket aged onto the ready list";
+                break;
+            }
+        }
+        return retired;
+    }
+
+    // Advance the period by one from a helper thread that holds nothing.
+    static void advance_elsewhere() {
+        std::thread([] {
+            dom().idle();
+            const std::uint64_t target = dom().current() + 1;
+            while (dom().current() < target) dom().collect();
+        }).join();
+    }
+};
+
+using GracePeriodPolicies = ::testing::Types<EbrPolicy, QsbrPolicy>;
+TYPED_TEST_SUITE(GracePeriodBatch, GracePeriodPolicies);
+
+TYPED_TEST(GracePeriodBatch, BatchAfterAnotherThreadsAdvanceSkipsTheBarrier) {
+    using D = typename TestFixture::Domain;
+    using collects = obs::counter<typename TypeParam::collects>;
+    using shared = obs::counter<typename TypeParam::shared>;
+    std::thread([] {
+        TestFixture::dom().idle();
+        TestFixture::dom().collect();  // this thread's last attempt: now
+        for (std::size_t i = 0; i + 1 < D::kCollectThreshold; ++i) {
+            TestFixture::retire_one();
+        }
+        TestFixture::advance_elsewhere();
+
+        // The batch fills after that advance: it shares it.
+        const std::uint64_t period = TestFixture::dom().current();
+        const std::uint64_t barriers = asym::heavy_barrier_count();
+        const std::uint64_t collects0 = collects::total();
+        const std::uint64_t shared0 = shared::total();
+        TestFixture::retire_one();
+        EXPECT_EQ(TestFixture::dom().current(), period)
+            << "a shared grace period must not advance the period";
+        EXPECT_EQ(collects::total(), collects0);
+        EXPECT_EQ(shared::total() - shared0, obs::kStatsEnabled ? 1u : 0u);
+        if (asym::enabled()) {
+            EXPECT_EQ(asym::heavy_barrier_count(), barriers)
+                << "a shared grace period must not issue a membarrier";
+        }
+
+        // No advance since: the next batch runs the barrier and advances.
+        for (std::size_t i = 0; i < D::kCollectThreshold; ++i) {
+            TestFixture::retire_one();
+        }
+        EXPECT_EQ(TestFixture::dom().current(), period + 1);
+        EXPECT_EQ(collects::total() - collects0, obs::kStatsEnabled ? 1u : 0u);
+        if (asym::enabled()) {
+            EXPECT_EQ(asym::heavy_barrier_count(), barriers + 1);
+        }
+        TestFixture::dom().drain();
+    }).join();
+}
+
+TYPED_TEST(GracePeriodBatch, NoRetireFreesMoreThanTheFreeBatch) {
+    using D = typename TestFixture::Domain;
+    std::thread([] {
+        TestFixture::dom().idle();
+        std::uint64_t most = 0;
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < 6 * D::kCollectThreshold; ++i) {
+            const std::uint64_t before = g_deleted.load();
+            TestFixture::retire_one();
+            const std::uint64_t freed = g_deleted.load() - before;
+            most = std::max(most, freed);
+            total += freed;
+        }
+        EXPECT_LE(most, D::kFreeBatch);
+        // Whole buckets aged meanwhile, each larger than the cap.
+        EXPECT_GT(total, 2 * D::kCollectThreshold);
+        TestFixture::dom().drain();
+    }).join();
+}
+
+TYPED_TEST(GracePeriodBatch, PendingCountsTheReadyListAndDrainEmptiesIt) {
+    using D = typename TestFixture::Domain;
+    std::thread([] {
+        TestFixture::dom().idle();
+        const std::size_t pending0 = TestFixture::dom().pending();
+        const std::uint64_t deleted0 = g_deleted.load();
+        const std::size_t retired = TestFixture::retire_until_ready();
+        const std::size_t deleted = g_deleted.load() - deleted0;
+        EXPECT_EQ(TestFixture::dom().pending() - pending0, retired - deleted);
+
+        TestFixture::dom().drain();
+        EXPECT_TRUE(D::record().ready.empty());
+        EXPECT_EQ(g_deleted.load() - deleted0, retired);
+        EXPECT_EQ(TestFixture::dom().pending(), 0u);
+    }).join();
+}
+
+TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
+    using D = typename TestFixture::Domain;
+    const std::size_t pending0 = TestFixture::dom().pending();
+    const std::uint64_t deleted0 = g_deleted.load();
+    std::size_t retired = 0;
+    std::size_t ready_at_exit = 0;
+    std::uint64_t deleted_before_exit = 0;
+    std::thread([&] {
+        TestFixture::dom().idle();
+        retired = TestFixture::retire_until_ready();
+        ready_at_exit = D::record().ready.size();
+        deleted_before_exit = g_deleted.load() - deleted0;
+    }).join();
+    const std::uint64_t deleted = g_deleted.load() - deleted0;
+    ASSERT_GT(ready_at_exit, 0u);
+    EXPECT_GE(deleted - deleted_before_exit, ready_at_exit)
+        << "aged nodes were orphaned instead of freed at exit";
+    // Only the young buckets were orphaned; a later collect adopts them.
+    EXPECT_EQ(TestFixture::dom().pending() - pending0, retired - deleted);
+    TestFixture::dom().drain();
+    TestFixture::dom().idle();
+    EXPECT_EQ(g_deleted.load() - deleted0, retired);
 }
 
 }  // namespace

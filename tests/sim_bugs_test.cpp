@@ -1128,6 +1128,63 @@ TEST(SimBugs, EbrUnpinBeforeLastUseFreesNodeStillInUse) {
     EXPECT_EQ(again.trace, res.trace);
 }
 
+// ===========================================================================
+// Bug 13 — a shared grace period that frees one epoch early: the retirer
+// uses another thread's advance instead of running its own collect, as
+// GracePeriodDomain::retire() does when its batch fills, but frees at
+// tag + 1 instead of tag + 2.  One advance only proves that every pinned
+// thread has seen the tag's epoch; a reader that pinned at the tag and
+// loaded the node before its unlink is still inside.  The fixed twin —
+// free at tag + 2 — is tests/sim_test.cpp's
+// SimEbr.SharedGracePeriodNeverFreesEarly, same threads.
+// ===========================================================================
+
+void ebr_shared_free_at_tag_plus_one_body() {
+    auto m = std::make_shared<EbrModel>();
+    sim::thread reader([m] {
+        m->announced.store(m->epoch.load(std::memory_order_acquire),
+                           std::memory_order_seq_cst);  // pin
+        const int p = m->src.load(std::memory_order_seq_cst);
+        sim::assert_always(
+            !(p == 0 && m->freed0.load(std::memory_order_relaxed) == 1),
+            "shared grace period freed node 0 inside the reader's pin");
+        m->announced.store(EbrModel::kIdle, std::memory_order_release);
+    });
+    sim::thread collector([m] {
+        for (int round = 0; round < 2; ++round) {
+            const std::uint32_t e = m->epoch.load(std::memory_order_seq_cst);
+            if (m->announced.load(std::memory_order_seq_cst) < e) continue;
+            m->epoch.store(e + 1, std::memory_order_seq_cst);
+        }
+    });
+    sim::thread sharer([m] {
+        m->src.store(1, std::memory_order_seq_cst);
+        const std::uint32_t tag = m->epoch.load(std::memory_order_acquire);
+        // BUG: one advance past the tag is not a grace period.
+        if (tag + 1 <= m->epoch.load(std::memory_order_acquire)) {
+            m->freed0.store(1, std::memory_order_relaxed);
+        }
+    });
+    reader.join();
+    collector.join();
+    sharer.join();
+}
+
+TEST(SimBugs, SharedGracePeriodFreeingAtTagPlusOneFreesNodeInUse) {
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto res = sim::explore(opts, ebr_shared_free_at_tag_plus_one_body);
+    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
+                         << " executions";
+    EXPECT_EQ(res.kind, sim::ViolationKind::kAssert);
+
+    const auto again =
+        sim::replay(opts, res, ebr_shared_free_at_tag_plus_one_body);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.kind, res.kind);
+    EXPECT_EQ(again.trace, res.trace);
+}
+
 }  // namespace
 
 #endif  // TAMP_SIM

@@ -527,6 +527,57 @@ TEST(SimEbr, GracePeriodNeverFreesNodeInsidePinnedSection) {
     EXPECT_GT(res.executions, 1);
 }
 
+// The shared grace period: a thread whose batch fills after another
+// thread advanced the epoch uses that advance instead of running its own
+// barrier and straggler check.  Here the collector only advances (two
+// bounded rounds, each skipped while the reader's pin lags) and the
+// retirer only shares: it unlinks, tags the node with the epoch it loads,
+// and frees only if an epoch it loads later is two past the tag, so only
+// through the collector's advances.  Both of its loads are acquire, as
+// in retire().  The property is the one above: no free inside the pin.
+
+void ebr_shared_grace_period_body() {
+    tamp::atomic<int> src{0};
+    tamp::atomic<std::uint32_t> epoch{0};
+    tamp::atomic<std::uint32_t> announced{kEbrIdle};
+    tamp::atomic<int> freed0{0};
+
+    sim::thread reader([&] {
+        announced.store(epoch.load(std::memory_order_acquire),
+                        std::memory_order_seq_cst);  // pin
+        const int p = src.load(std::memory_order_seq_cst);
+        sim::assert_always(
+            !(p == 0 && freed0.load(std::memory_order_relaxed) == 1),
+            "node freed inside the reader's pinned section");
+        announced.store(kEbrIdle, std::memory_order_release);  // unpin
+    });
+    sim::thread collector([&] {
+        for (int round = 0; round < 2; ++round) {
+            const std::uint32_t e = epoch.load(std::memory_order_seq_cst);
+            if (announced.load(std::memory_order_seq_cst) < e) continue;
+            epoch.store(e + 1, std::memory_order_seq_cst);
+        }
+    });
+    sim::thread sharer([&] {
+        src.store(1, std::memory_order_seq_cst);  // unlink
+        const std::uint32_t tag = epoch.load(std::memory_order_acquire);
+        if (tag + 2 <= epoch.load(std::memory_order_acquire)) {
+            freed0.store(1, std::memory_order_relaxed);
+        }
+    });
+    reader.join();
+    collector.join();
+    sharer.join();
+}
+
+TEST(SimEbr, SharedGracePeriodNeverFreesEarly) {
+    sim::ExploreOptions opts;
+    const auto res = sim::explore(opts, ebr_shared_grace_period_body);
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+    EXPECT_GT(res.executions, 1);
+}
+
 // ---------------------------------------------------------------------------
 // DPOR equivalence: every exhaustive property above, re-verified under both
 // exhaustive strategies with identical verdicts — and a measured reduction
@@ -679,6 +730,8 @@ std::vector<EquivCase> equivalence_cases() {
                      },
                      true});
     cases.push_back({"ebr_grace_period", ebr_grace_period_body, true});
+    cases.push_back(
+        {"ebr_shared_grace_period", ebr_shared_grace_period_body, true});
     return cases;
 }
 
