@@ -53,4 +53,16 @@ using sim_backend =
 inline constexpr int kMaxSimThreads = 8;
 inline constexpr int kHistoryDepth = 4;
 
+/// Stale-value load choices per thread per execution: past this budget a
+/// thread's loads return the newest store only.
+inline constexpr int kStaleBudget = 4;
+
+/// Fair-demonic liveness probe (Strategy::kFairDemonic): no enabled thread
+/// waits more than kFairnessWindow schedule points before it is forced to
+/// run (the fairness promise), and a starvation verdict needs rivals to
+/// have completed kStarvationRivalOps operations while the victim sat in
+/// one (evidence the system moves without the victim moving).
+inline constexpr int kFairnessWindow = 12;
+inline constexpr int kStarvationRivalOps = 6;
+
 }  // namespace tamp::sim

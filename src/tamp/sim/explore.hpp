@@ -200,8 +200,8 @@ inline std::vector<std::memory_order> demotion_ladder(AccessKind kind,
 /// model, the bounds, and the schedules this body drives); sites where
 /// the first demotion already fails are proven load-bearing, with the
 /// violation kept as the counterexample.  Run with an exhaustive strategy
-/// (kDpor, or kExhaustive for bounded brute force) — a sampled strategy
-/// would report false candidates.
+/// (kDpor, or kExhaustive's unbounded brute force, which only finishes on
+/// small bodies) — a sampled strategy would report false candidates.
 inline OracleReport audit_orderings(const ExploreOptions& opts,
                                     const std::function<void()>& body) {
     auto& sch = detail::scheduler();

@@ -59,10 +59,12 @@ inline const char* progress_class_name(ProgressClass c) noexcept {
 
 struct ClassifyOptions {
     /// Seed and step bounds for every probe; strategy, max_executions and
-    /// detect_starvation are overridden per probe.  Size op_step_bound /
-    /// starvation_rival_ops to ~4x the honest cost of one operation of
-    /// the structure under test (the step-bound caveat: too tight flags
-    /// slow-but-progressing ops, too loose needs longer rival loops).
+    /// detect_starvation are overridden per probe.  Size op_step_bound to
+    /// ~4x the honest cost of one operation of the structure under test
+    /// (the step-bound caveat: too tight flags slow-but-progressing ops,
+    /// too loose needs longer rival loops).  The fairness window and the
+    /// rival-op evidence are the constants kFairnessWindow and
+    /// kStarvationRivalOps (tamp/sim/config.hpp).
     ExploreOptions base;
     int samples = 256;  // executions sampled per probe
 };

@@ -77,7 +77,7 @@ struct CatalogEntry {
 // Probe sizing shared by every entry.  Starvation evidence is the
 // conjunction of two signals, and both matter:
 //
-//  * overtaking — rivals complete `starvation_rival_ops` whole operations
+//  * overtaking — rivals complete `kStarvationRivalOps` whole operations
 //    while the victim sits inside one.  Starvation-free locks bound this
 //    structurally (FIFO hand-off admits ~1 overtake per waiter), but the
 //    adversary can legally pile a few rival ops onto the victim's
@@ -95,9 +95,7 @@ sim::ClassifyOptions lock_probe_options() {
     sim::ClassifyOptions c;
     c.samples = 160;
     c.base.max_steps = 6000;
-    c.base.fairness_window = 12;
     c.base.op_step_bound = 20;
-    c.base.starvation_rival_ops = 6;
     c.base.progress_bound = 700;
     c.base.crash_horizon = 48;
     c.base.solo_horizon = 40;
