@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "tamp/core/bits.hpp"
+
 namespace tamp {
 
 /// Node kinds: every list has exactly one head and one tail sentinel.
@@ -27,12 +29,7 @@ enum class NodeKind : std::uint8_t { kHead, kItem, kTail };
 template <typename T>
 struct DefaultKeyOf {
     std::uint64_t operator()(const T& v) const {
-        std::uint64_t x = std::hash<T>{}(v);
-        // splitmix64 finalizer
-        x += 0x9E3779B97F4A7C15ull;
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-        return x ^ (x >> 31);
+        return detail::mix64(std::hash<T>{}(v));  // splitmix64 finalizer
     }
 };
 
