@@ -9,10 +9,11 @@
 //
 // TAMP_SIM=1: sim::thread maps onto the scheduler's persistent worker
 // pool.  Threads may only be created by the exploration body (the
-// controller); they do not start running until the controller blocks in
-// join(), which guarantees the whole thread set exists before scheduling
-// begins (the property DFS enumeration needs).  join() must be called
-// exactly once before the sim::thread is destroyed.
+// controller); each runs only to its first schedule point (declaring its
+// first operation, decision-free) until the controller blocks in join(),
+// which guarantees the whole thread set exists before scheduling begins
+// (the property DFS enumeration needs).  join() must be called exactly
+// once before the sim::thread is destroyed.
 
 #pragma once
 

@@ -10,7 +10,9 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace tamp_test {
@@ -61,5 +63,48 @@ inline std::size_t test_threads(std::size_t cap = 8) {
     const std::size_t n = hw == 0 ? 2 : hw;
     return n < 2 ? 2 : (n > cap ? cap : n);
 }
+
+/// A reclamation domain (tamp/reclaim/domain.hpp's concept) that frees
+/// nothing until drain(): retired nodes stay parked while the threads
+/// that might still traverse them run, so a test can free them at a
+/// point of its choosing.  Its guard does nothing; it adds no shared
+/// atomic steps, so it is also usable in sim explorations.
+struct ParkingReclaim {
+    static constexpr bool kProtects = false;
+    struct guard {
+        guard() {}  // user-provided, so a guard variable is not "unused"
+        guard(const guard&) = delete;
+        guard& operator=(const guard&) = delete;
+    };
+    static void retire(void* p, void (*del)(void*)) {
+        std::lock_guard<std::mutex> lk(mu());
+        parked().emplace_back(p, del);
+    }
+    template <typename T>
+    static void retire(T* p) {
+        retire(p, [](void* q) { delete static_cast<T*>(q); });
+    }
+    static void quiescent() {}
+    static std::size_t pending() {
+        std::lock_guard<std::mutex> lk(mu());
+        return parked().size();
+    }
+    static void drain() {
+        std::lock_guard<std::mutex> lk(mu());
+        for (const auto& [p, del] : parked()) del(p);
+        parked().clear();
+    }
+    static const char* name() { return "parking"; }
+
+  private:
+    static std::mutex& mu() {
+        static std::mutex m;
+        return m;
+    }
+    static std::vector<std::pair<void*, void (*)(void*)>>& parked() {
+        static std::vector<std::pair<void*, void (*)(void*)>> nodes;
+        return nodes;
+    }
+};
 
 }  // namespace tamp_test
