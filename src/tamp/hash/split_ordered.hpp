@@ -36,6 +36,7 @@
 #include "tamp/core/bits.hpp"
 #include "tamp/core/cacheline.hpp"
 #include "tamp/core/marked_ptr.hpp"
+#include "tamp/core/node_pool.hpp"
 #include "tamp/lists/harris_michael.hpp"
 #include "tamp/lists/keyed.hpp"
 #include "tamp/obs/counter.hpp"
@@ -75,6 +76,16 @@ class SplitOrderedTable {
         template <typename... A>
         Node(std::uint64_t so, const K& k, const A&... a)
             : so_key(so), key(k), slot(a...) {}
+
+        // Every node, sentinel or data, lives in a NodePool block
+        // (tamp/core/node_pool.hpp): the deleters the domain runs and the
+        // destructor's deletes all return here.
+        static void* operator new(std::size_t) {
+            return NodePoolFor<Node>::allocate();
+        }
+        static void operator delete(void* p) {
+            NodePoolFor<Node>::deallocate(p);
+        }
     };
     using Guard = typename Domain::guard;
 
@@ -110,7 +121,8 @@ class SplitOrderedTable {
         std::size_t size = bucket_count_.load(std::memory_order_acquire);
         const Target t{split_ordinary_key(h), k};
         const auto make = [&] { return new Node(t.so, k, slot_init...); };
-        const auto res = HM::insert(g, bucket(g, h % size), t, make, step);
+        const auto res =
+            HM::insert(g, bucket(g, h & (size - 1)), t, make, step);
         if (!res.second) return res;
         const std::size_t count =
             size_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -127,8 +139,7 @@ class SplitOrderedTable {
     template <typename Step>
     bool remove(Guard& g, const K& k, Step step) {
         const std::uint64_t h = KeyOf{}(k);
-        Node* start =
-            bucket(g, h % bucket_count_.load(std::memory_order_acquire));
+        Node* start = bucket(g, bucket_of(h));
         const bool removed =
             HM::remove(g, start, Target{split_ordinary_key(h), k}, step);
         if (removed) size_.fetch_sub(1, std::memory_order_relaxed);
@@ -141,8 +152,7 @@ class SplitOrderedTable {
     Node* lookup(Guard& g, const K& k) {
         const std::uint64_t h = KeyOf{}(k);
         const Target t{split_ordinary_key(h), k};
-        Node* curr =
-            bucket(g, h % bucket_count_.load(std::memory_order_acquire));
+        Node* curr = bucket(g, bucket_of(h));
         while (curr != nullptr && t.before(curr)) {
             curr = curr->next.load().ptr();
         }
@@ -184,6 +194,12 @@ class SplitOrderedTable {
             return n->so_key == so && ((so & 1u) == 0 || n->key == k);
         }
     };
+
+    /// The bucket of hash h: its low bits (every bucket count is a power
+    /// of two).
+    std::size_t bucket_of(std::uint64_t h) const {
+        return h & (bucket_count_.load(std::memory_order_acquire) - 1);
+    }
 
     /// Bucket b's directory cell.  Segment 0 holds buckets [0, 16);
     /// segment s >= 1 holds [2^(s+3), 2^(s+4)), doubling the table.  (One

@@ -9,9 +9,9 @@
 // Routing.  Shards are picked from the TOP hash bits
 // ((h >> 48) & mask) and multi_update stripes from the middle
 // ((h >> 24) & mask), while SplitOrderedMap buckets come from the LOW
-// bits (h % buckets).  Using disjoint bit ranges keeps the three layers
-// uncorrelated — low-bit shard routing would map each shard's keys onto
-// a fraction of its own buckets and waste the table.
+// bits (h & (buckets - 1)).  Using disjoint bit ranges keeps the three
+// layers uncorrelated — low-bit shard routing would map each shard's keys
+// onto a fraction of its own buckets and waste the table.
 //
 // multi_update.  Cross-key atomicity rides on striped BackoffLocks:
 // the update set's stripes are sorted and deduplicated, locked in

@@ -51,14 +51,15 @@ using EpochDomain = GracePeriodDomain<EbrPolicy>;
 ///     ... traverse freely ...
 ///                                   // ~EpochGuard unpins
 ///
-/// Guards nest (a per-thread counter); only the outermost pins/unpins.
+/// Guards nest (a per-thread counter); only the outermost pins/unpins,
+/// through the record the guard looked up once.
 class EpochGuard {
   public:
     EpochGuard() : rec_(&EpochDomain::record()) {
-        if (rec_->nesting++ == 0) EpochDomain::global().announce();
+        if (rec_->nesting++ == 0) EpochDomain::global().announce(*rec_);
     }
     ~EpochGuard() {
-        if (--rec_->nesting == 0) EpochDomain::global().idle();
+        if (--rec_->nesting == 0) EpochDomain::idle(*rec_);
     }
     EpochGuard(const EpochGuard&) = delete;
     EpochGuard& operator=(const EpochGuard&) = delete;

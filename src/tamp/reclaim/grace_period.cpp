@@ -82,14 +82,6 @@ GracePeriodDomain<P>::GracePeriodDomain() {
 }
 
 template <typename P>
-GracePeriodDomain<P>& GracePeriodDomain<P>::global() {
-    // Leaked, as HazardDomain: detached threads may retire (or announce)
-    // during static destruction.
-    static auto* d = new GracePeriodDomain();
-    return *d;
-}
-
-template <typename P>
 GracePeriodDomain<P>::Record::Record()
     // An online record starts announced at the current period: a
     // brand-new thread holds no references, and starting at the live

@@ -116,7 +116,13 @@ class GracePeriodDomain {
         Record& operator=(const Record&) = delete;
     };
 
-    static GracePeriodDomain& global();
+    /// Inline, so a guard's pin costs a load of the pointer, not a call.
+    static GracePeriodDomain& global() {
+        // Leaked, as HazardDomain: detached threads may retire (or
+        // announce) during static destruction.
+        static auto* d = new GracePeriodDomain();
+        return *d;
+    }
 
     static Record& record() {
         thread_local Record rec;
@@ -132,8 +138,10 @@ class GracePeriodDomain {
     /// references postdate.  Under the asymmetric protocol the
     /// collector's membarrier provides that ordering and the store is a
     /// plain release; the fallback pays the classic seq_cst publication.
-    void announce() {
-        Record& rec = record();
+    void announce() { announce(record()); }
+
+    /// announce() through the caller's record (`rec` is record()).
+    void announce(Record& rec) {
         const std::uint64_t now = period_.load(std::memory_order_acquire);
         if (asym::enabled()) {
             rec.announced.store(now, std::memory_order_release);
@@ -149,8 +157,11 @@ class GracePeriodDomain {
 
     /// Stop gating grace periods (EBR unpin, QSBR offline).  The caller
     /// holds no references until its next announce().
-    void idle() {
-        record().announced.store(kIdle, std::memory_order_release);
+    void idle() { idle(record()); }
+
+    /// idle() through the caller's record (`rec` is record()).
+    static void idle(Record& rec) {
+        rec.announced.store(kIdle, std::memory_order_release);
     }
 
     /// Hand `p` to the domain; freed two period advances later, by a

@@ -70,7 +70,7 @@ class QsbrReadGuard {
     ~QsbrReadGuard() {
         if (--rec_->nesting == 0 && ++rec_->exits >= kQuiescePeriod) {
             rec_->exits = 0;
-            QsbrDomain::global().announce();
+            QsbrDomain::global().announce(*rec_);
         }
     }
 

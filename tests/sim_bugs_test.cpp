@@ -1379,6 +1379,110 @@ TEST(SimBugs, SkipListReAddInFrontHidesRetiredNode) {
     EXPECT_EQ(again.trace, res.trace);
 }
 
+// ===========================================================================
+// Bug 16 — a node pool that recycles before the grace period.  The remover
+// marks B(20) in head → A(10) → B(20), unlinks it and hands the block
+// straight to a pool, then takes it back for a new key 12 and links it
+// after A.  An inserter of 15 that found the window (A, B) before the
+// unlink still holds it: its CAS on A's link expects B unmarked, which the
+// recycled block is again, so it succeeds and links 15 in front of 12 —
+// the list loses its order.  The split-ordered table's NodePool
+// (tamp/core/node_pool.hpp) receives a node only through the reclamation
+// domain's deleter, so the fix is the grace period itself:
+// tests/sim_test.cpp's SimEbr.GracePeriodNeverFreesNodeInsidePinnedSection
+// proves EBR frees nothing inside an operation that could hold it.
+// ===========================================================================
+
+struct PoolRecycleModel {
+    static constexpr int kHead = 0, kA = 1, kB = 2, kX = 3, kTail = 4;
+    // Links pack (successor << 1) | mark.
+    tamp::atomic<int> link[4] = {kA << 1, kB << 1, kTail << 1, kTail << 1};
+    tamp::atomic<int> key[4] = {0, 10, 20, 15};
+
+    // One pass of Harris–Michael find: the window (pred, curr) for k,
+    // snipping marked nodes; false when a snip loses.
+    bool find(int k, int& pred, int& curr) {
+        pred = kHead;
+        curr = link[kHead].load() >> 1;
+        while (curr != kTail) {
+            const int succ = link[curr].load();
+            if ((succ & 1) != 0) {
+                int expected = curr << 1;
+                if (!link[pred].compare_exchange_strong(expected,
+                                                        succ & ~1)) {
+                    return false;
+                }
+                curr = succ >> 1;
+                continue;
+            }
+            if (key[curr].load() >= k) return true;
+            pred = curr;
+            curr = succ >> 1;
+        }
+        return true;
+    }
+
+    // One insert attempt (the model gives up where the list would retry):
+    // link `node`, its key set, into the window for that key.
+    void try_insert(int node) {
+        int pred = 0, curr = 0;
+        if (!find(key[node].load(), pred, curr)) return;
+        link[node].store(curr << 1);
+        int expected = curr << 1;
+        link[pred].compare_exchange_strong(expected, node << 1);
+    }
+
+    bool sorted() {
+        int last = 0;
+        for (int n = link[kHead].load() >> 1; n != kTail;
+             n = link[n].load() >> 1) {
+            if (key[n].load() <= last) return false;
+            last = key[n].load();
+        }
+        return true;
+    }
+};
+
+void pool_recycle_in_window_body() {
+    auto m = std::make_shared<PoolRecycleModel>();
+    using M = PoolRecycleModel;
+    sim::thread inserter([m] { m->try_insert(M::kX); });
+    sim::thread remover([m] {
+        const int succ = m->link[M::kB].load();
+        int unmarked = succ;
+        if (!m->link[M::kB].compare_exchange_strong(unmarked, succ | 1)) {
+            return;
+        }
+        int expected = M::kB << 1;
+        if (!m->link[M::kA].compare_exchange_strong(expected, succ)) {
+            return;  // X went in front of B, or a find snipped B
+        }
+        // BUG: B goes to the pool and back out, as key 12, while the
+        // inserter may still hold a window on it.
+        m->key[M::kB].store(12);
+        m->try_insert(M::kB);
+    });
+    inserter.join();
+    remover.join();
+    sim::assert_always(m->sorted(),
+                       "list out of order: an insert linked through a "
+                       "recycled node");
+}
+
+TEST(SimBugs, PoolRecycleInsideAWindowBreaksListOrder) {
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto res = sim::explore(opts, pool_recycle_in_window_body);
+    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
+                         << " executions";
+    EXPECT_EQ(res.kind, sim::ViolationKind::kAssert);
+
+    const auto again = sim::replay(opts, res, pool_recycle_in_window_body);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.kind, res.kind);
+    EXPECT_EQ(again.trace, res.trace);
+}
+
 }  // namespace
 
 #endif  // TAMP_SIM
