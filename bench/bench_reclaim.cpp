@@ -20,7 +20,7 @@
 
 #include "bench_util.hpp"
 #include "tamp/core/cacheline.hpp"
-#include "tamp/reclaim/reclaim.hpp"
+#include "tamp/reclaim/domain.hpp"
 
 namespace {
 
@@ -56,8 +56,8 @@ void BM_ReadHazardProtected(benchmark::State& state) {
     tamp_bench::counters_begin(state);
     tamp_bench::latency_begin(state);
     for (auto _ : state) {
-        HazardSlot<Box> hp;
-        Box* b = hp.protect(Shared<SharedBox>::instance->ptr);
+        reclaim::hp::guard g;
+        Box* b = g.protect<0>(Shared<SharedBox>::instance->ptr);
         benchmark::DoNotOptimize(b->payload);
     }
     state.SetItemsProcessed(state.iterations());
@@ -67,14 +67,14 @@ void BM_ReadHazardProtected(benchmark::State& state) {
 }
 
 void BM_ReadHazardSlotReused(benchmark::State& state) {
-    // Amortize the slot claim across reads — the pattern real structures
-    // use (one slot per traversal, many protects).
+    // Amortize the guard across reads — the pattern real structures use
+    // (one guard per traversal, many protects into the same slot).
     Shared<SharedBox>::setup(state);
-    HazardSlot<Box> hp;
+    reclaim::hp::guard g;
     tamp_bench::counters_begin(state);
     tamp_bench::latency_begin(state);
     for (auto _ : state) {
-        Box* b = hp.protect(Shared<SharedBox>::instance->ptr);
+        Box* b = g.protect<0>(Shared<SharedBox>::instance->ptr);
         benchmark::DoNotOptimize(b->payload);
     }
     state.SetItemsProcessed(state.iterations());
@@ -129,10 +129,10 @@ void BM_ChurnHazardRetire(benchmark::State& state) {
     tamp_bench::counters_begin(state);
     tamp_bench::latency_begin(state);
     for (auto _ : state) {
-        hazard_retire(new Box());
+        reclaim::hp::retire(new Box());
     }
     tamp_bench::quiesce(state);
-    if (state.thread_index() == 0) HazardDomain::global().drain();
+    if (state.thread_index() == 0) reclaim::hp::drain();
     state.SetItemsProcessed(state.iterations());
     tamp_bench::counters_publish(state);
     tamp_bench::latency_publish(state);
@@ -142,10 +142,10 @@ void BM_ChurnEpochRetire(benchmark::State& state) {
     tamp_bench::latency_begin(state);
     for (auto _ : state) {
         EpochGuard g;
-        epoch_retire(new Box());
+        reclaim::ebr::retire(new Box());
     }
     tamp_bench::quiesce(state);
-    if (state.thread_index() == 0) EpochDomain::global().drain();
+    if (state.thread_index() == 0) reclaim::ebr::drain();
     state.SetItemsProcessed(state.iterations());
     tamp_bench::counters_publish(state);
     tamp_bench::latency_publish(state);
@@ -157,10 +157,10 @@ void BM_ChurnQsbrRetire(benchmark::State& state) {
         // The guard's exit is the quiescence source, exactly as in a
         // templated structure; retire triggers collects at threshold.
         QsbrReadGuard g;
-        qsbr_retire(new Box());
+        reclaim::qsbr::retire(new Box());
     }
     tamp_bench::quiesce(state);
-    if (state.thread_index() == 0) QsbrDomain::global().drain();
+    if (state.thread_index() == 0) reclaim::qsbr::drain();
     state.SetItemsProcessed(state.iterations());
     tamp_bench::counters_publish(state);
     tamp_bench::latency_publish(state);

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "tamp/check/recorder.hpp"
+#include "tamp/core/bits.hpp"
 
 namespace tamp::check {
 
@@ -144,13 +145,7 @@ CheckResult linearize(const std::vector<Operation>& history,
     // Zobrist hashing of the taken-set: XOR of a per-op key, maintained
     // incrementally as ops are taken/untaken (order-independent, O(1)).
     std::vector<std::uint64_t> zobrist(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        // splitmix64 of the index.
-        std::uint64_t z = (i + 1) * 0x9e3779b97f4a7c15ull;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        zobrist[i] = z ^ (z >> 31);
-    }
+    for (std::size_t i = 0; i < n; ++i) zobrist[i] = tamp::detail::mix64(i);
     std::uint64_t taken_hash = 0;
 
     // Recursive lambda via explicit self parameter.

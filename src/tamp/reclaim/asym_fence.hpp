@@ -10,7 +10,9 @@
 // thereby orders the readers' plain program-order store;load sequences
 // relative to the scan.
 //
-// Protocol (both hazard pointers and epoch pins use the same shape):
+// Protocol (both hazard pointers and epoch pins use the same shape; the
+// reader's first two lines are publish(), the scanner's barrier is
+// heavy_barrier()):
 //
 //   reader (fast path)                 scanner (slow path)
 //   ------------------                 -------------------
@@ -46,6 +48,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "tamp/sim/config.hpp"
 
@@ -114,6 +117,30 @@ inline void light_barrier() {
 /// seq_cst publications already pair with the scan's seq_cst loads).
 inline void heavy_barrier() {
     if (enabled()) detail::heavy_barrier_slow();
+}
+
+/// Reader-side publication: store `v` into `cell` so that a scanner sees
+/// it before anything the caller reads next — a hazard pointer before its
+/// re-validation, an epoch or quiescence announcement before the
+/// thread's next read section.
+template <typename T>
+inline void publish(std::atomic<T>& cell, std::type_identity_t<T> v) {
+    if (enabled()) {
+        // The store may still sit in this CPU's buffer; the scanner's
+        // heavy_barrier() flushes it before the scan reads `cell`.
+        cell.store(v, std::memory_order_release);
+        light_barrier();
+    } else {
+        // No heavy barrier will flush it, so the store itself must be
+        // ordered before the caller's next read: a release store could
+        // still be in flight when a concurrent scan reads `cell`.  It is
+        // seq_cst because the reads it pairs with are: a hazard's
+        // re-validation and the scan's reads of the cells.  Of the
+        // publication and the unlink, one side then sees the other's
+        // store (Dekker).
+        // tamp-lint: allow(seqcst-store-reclaim)
+        cell.store(v, std::memory_order_seq_cst);
+    }
 }
 
 /// Test-only: force the fallback (false) or restore the latched protocol

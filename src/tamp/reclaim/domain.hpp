@@ -16,7 +16,8 @@
 //                       Structures branch on it with `if constexpr`, so
 //                       the grace-period instantiations compile to
 //                       exactly the pre-refactor code.
-//   D::guard            RAII read-side section.  One per operation.
+//   D::guard            RAII read-side section.  One per operation; a
+//                       thread holds at most one HP guard at a time.
 //                         g.protect<I>(atomic_ptr) -> T*   slot I: load,
 //                           and (HP) publish + re-validate until stable
 //                         g.set<I>(ptr)                    slot I: publish
@@ -32,31 +33,36 @@
 //   D::drain()          reclaim everything reclaimable at quiescence
 //   D::name()           for bench labels and diagnostics
 //
-// Guards expose up to kGuardSlots (3) protection slots — pred/curr/succ,
-// the most any traversal in the catalog holds at once.  An HP guard
-// claims its slots eagerly (a thread-local bitmask update; the slots'
-// shared cells are untouched until a publish), so claiming three and
-// using one costs nothing.
+// Guards expose kGuardSlots (3) protection slots — pred/curr/succ, the
+// most any traversal in the catalog holds at once.  They are the three
+// hazard slots every thread has, and an HP guard uses its thread's slots
+// directly: entry and exit flip a thread-local flag, and a slot's shared
+// cell is written only when the guard publishes to it and when it clears
+// it.  So a thread holds one HP guard at a time; a nested one aborts.
 //
-// Structure headers consume SMR exclusively through this header; the
+// These adapters are the only front end to reclamation: structures,
+// tests and benchmarks protect and retire through them, and reach the
+// domain classes only for engine steps the adapters do not expose
+// (HazardDomain::scan, GracePeriodDomain::collect/announce/idle).  The
 // `direct-reclaim-include` lint rule (tools/lint_atomics.py) keeps
-// direct backend includes (epoch, grace_period, hazard_pointers, qsbr)
-// from creeping back in.
+// structure headers from including a backend (epoch, grace_period,
+// hazard_pointers, qsbr) directly.
 
 #pragma once
 
-#include <bit>
 #include <concepts>
 #include <cstddef>
 
+#include "tamp/reclaim/asym_fence.hpp"
 #include "tamp/reclaim/epoch.hpp"
 #include "tamp/reclaim/hazard_pointers.hpp"
 #include "tamp/reclaim/qsbr.hpp"
+#include "tamp/reclaim/retired_node.hpp"
 
 namespace tamp::reclaim {
 
 /// Protection slots every guard exposes (pred/curr/succ).
-inline constexpr std::size_t kGuardSlots = 3;
+inline constexpr std::size_t kGuardSlots = HazardDomain::kSlotsPerThread;
 
 template <typename D>
 concept domain =
@@ -82,44 +88,39 @@ struct hp {
 
     class guard {
       public:
-        guard() : rec_(&reclaim_detail::hp_record()) {
-            unsigned free = ~rec_->claimed &
-                            ((1u << HazardDomain::kSlotsPerThread) - 1u);
-            if (std::popcount(free) < static_cast<int>(kGuardSlots)) {
-                reclaim_detail::hp_slot_overflow();
-            }
-            for (std::size_t i = 0; i < kGuardSlots; ++i) {
-                const unsigned bit = free & (0u - free);  // lowest free
-                free &= ~bit;
-                bits_[i] = bit;
-                cells_[i] = rec_->slots + std::countr_zero(bit);
-                published_[i] = false;
-            }
-            rec_->claimed |= bits_[0] | bits_[1] | bits_[2];
+        guard()
+            : rec_(&reclaim_detail::hp_record()), slots_(rec_->slots) {
+            if (rec_->guarded) reclaim_detail::hp_slot_overflow();
+            rec_->guarded = true;
         }
 
         ~guard() {
-            for (std::size_t i = 0; i < kGuardSlots; ++i) {
-                if (published_[i]) {
-                    cells_[i]->store(nullptr, std::memory_order_release);
-                }
-            }
-            rec_->claimed &= ~(bits_[0] | bits_[1] | bits_[2]);
+            // One call per slot, not a loop: constant indices let the
+            // compiler keep published_ in registers and drop the slots
+            // an operation never published to.
+            static_assert(kGuardSlots == 3);
+            clear<0>();
+            clear<1>();
+            clear<2>();
+            rec_->guarded = false;
         }
 
         guard(const guard&) = delete;
         guard& operator=(const guard&) = delete;
 
-        /// Publish-and-revalidate loop (HazardSlot::protect, slot I).
+        /// Publish-and-revalidate loop on slot I: on return the node
+        /// cannot be freed while the slot holds it.
         template <std::size_t I, typename AtomicPtr>
         auto protect(const AtomicPtr& src) {
             static_assert(I < kGuardSlots);
             auto* p = src.load(std::memory_order_acquire);
             while (true) {
-                publish<I>(p);
+                asym::publish(slots_[I], p);
                 // seq_cst, not acquire: the fallback's Dekker argument
                 // needs this re-read ordered after the seq_cst
-                // publication store (see HazardSlot::protect).
+                // publication store (asym::publish).  Same instruction as
+                // acquire on x86/AArch64, so the asymmetric path loses
+                // nothing.
                 auto* again = src.load(std::memory_order_seq_cst);
                 if (again == p) {
                     published_[I] = (p != nullptr);
@@ -133,37 +134,24 @@ struct hp {
         template <std::size_t I, typename T>
         void set(T* p) {
             static_assert(I < kGuardSlots);
-            publish<I>(p);
+            asym::publish(slots_[I], p);
             published_[I] = (p != nullptr);
         }
 
+        /// Drop slot I; skips the store when nothing was published.
         template <std::size_t I>
         void clear() {
             static_assert(I < kGuardSlots);
             if (published_[I]) {
-                cells_[I]->store(nullptr, std::memory_order_release);
+                slots_[I].store(nullptr, std::memory_order_release);
                 published_[I] = false;
             }
         }
 
       private:
-        template <std::size_t I, typename T>
-        void publish(T* p) {
-            if (asym::enabled()) {
-                cells_[I]->store(p, std::memory_order_release);
-                asym::light_barrier();
-            } else {
-                // Fallback: publication must be visible to a scanner
-                // before the re-validation read (see HazardSlot).
-                // tamp-lint: allow(seqcst-store-reclaim)
-                cells_[I]->store(p, std::memory_order_seq_cst);
-            }
-        }
-
         reclaim_detail::HpThreadRecord* rec_;
-        std::atomic<const void*>* cells_[kGuardSlots];
-        unsigned bits_[kGuardSlots];
-        bool published_[kGuardSlots];
+        std::atomic<const void*>* slots_;  // rec_->slots, one load fewer
+        bool published_[kGuardSlots] = {};
     };
 
     static void retire(void* p, void (*deleter)(void*)) {
@@ -171,7 +159,7 @@ struct hp {
     }
     template <typename T>
     static void retire(T* p) {
-        hazard_retire(p);
+        retire(p, reclaim_detail::delete_as<T>);
     }
     static void quiescent() {}
     static std::size_t pending() { return HazardDomain::global().pending(); }
@@ -220,7 +208,7 @@ struct grace_period {
     }
     template <typename T>
     static void retire(T* p) {
-        retire(p, [](void* q) { delete static_cast<T*>(q); });
+        retire(p, reclaim_detail::delete_as<T>);
     }
     static void quiescent() {
         if constexpr (Policy::kRegistersOnline) {

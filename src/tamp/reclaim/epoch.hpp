@@ -68,12 +68,4 @@ class EpochGuard {
     EpochDomain::Record* rec_;
 };
 
-/// Retire with the default deleter (must be called while pinned, so the
-/// node is unreachable to any thread entering afterwards).
-template <typename T>
-void epoch_retire(T* p) {
-    EpochDomain::global().retire(p,
-                                 [](void* q) { delete static_cast<T*>(q); });
-}
-
 }  // namespace tamp

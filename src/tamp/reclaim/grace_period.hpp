@@ -135,21 +135,14 @@ class GracePeriodDomain {
     /// pointer, or a collector could advance past it while it holds an
     /// old-period reference; for QSBR, before the thread's *next* read
     /// section, or a collector could credit a quiescence its in-flight
-    /// references postdate.  Under the asymmetric protocol the
-    /// collector's membarrier provides that ordering and the store is a
-    /// plain release; the fallback pays the classic seq_cst publication.
+    /// references postdate.  asym::publish provides that ordering: the
+    /// collector's membarrier under the asymmetric protocol, a seq_cst
+    /// store in the fallback.
     void announce() { announce(record()); }
 
     /// announce() through the caller's record (`rec` is record()).
     void announce(Record& rec) {
-        const std::uint64_t now = period_.load(std::memory_order_acquire);
-        if (asym::enabled()) {
-            rec.announced.store(now, std::memory_order_release);
-            asym::light_barrier();
-        } else {
-            // tamp-lint: allow(seqcst-store-reclaim)
-            rec.announced.store(now, std::memory_order_seq_cst);
-        }
+        asym::publish(rec.announced, period_.load(std::memory_order_acquire));
         if constexpr (!std::is_void_v<typename Policy::announces>) {
             obs::counter<typename Policy::announces>::inc();
         }

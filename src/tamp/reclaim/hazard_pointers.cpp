@@ -1,7 +1,6 @@
 #include "tamp/reclaim/hazard_pointers.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -9,6 +8,7 @@
 
 #include "tamp/obs/timer.hpp"
 #include "tamp/obs/trace.hpp"
+#include "tamp/reclaim/asym_fence.hpp"
 
 namespace tamp {
 
@@ -57,11 +57,6 @@ HazardDomain& HazardDomain::global() {
         return dom;
     }();
     return *d;
-}
-
-std::atomic<const void*>& HazardDomain::slot(std::size_t k) {
-    assert(k < kSlotsPerThread);
-    return reclaim_detail::hp_record().slots[k];
 }
 
 void HazardDomain::scan() {
@@ -183,8 +178,8 @@ HpThreadRecord::~HpThreadRecord() {
 
 void hp_slot_overflow() {
     std::fprintf(stderr,
-                 "tamp: more than %zu simultaneous hazard slots in one "
-                 "thread\n",
+                 "tamp: nested hazard-pointer guard: a thread's %zu hazard "
+                 "slots belong to one guard at a time\n",
                  HazardDomain::kSlotsPerThread);
     std::abort();
 }

@@ -12,15 +12,17 @@
 // published slot names them.
 //
 // Design:
-//  * one global domain; slots are indexed by tamp::thread_id(), a few per
-//    thread (traversals need pred+curr+succ at most);
+//  * one global domain; slots are indexed by tamp::thread_id(), three per
+//    thread (pred+curr+succ, the most any traversal holds), all owned by
+//    the thread's one reclaim::hp::guard (tamp/reclaim/domain.hpp), the
+//    front end that publishes into them;
 //  * every thread carries a HpThreadRecord (thread_local) caching its
-//    slot-block base, its claimed-slot bitmask, and its retire list, so
-//    slot claim/release and retire are inline O(1) with no shared-
+//    slot-block base, whether a guard holds the slots, and its retire
+//    list, so guard entry/exit and retire are inline O(1) with no shared-
 //    cacheline traffic — the only cross-thread stores on the fast path
 //    are the hazard publications themselves;
-//  * the publication store is release + a compiler barrier; the scan
-//    issues one process-wide membarrier before reading slots (the
+//  * the publication is asym::publish: release + a compiler barrier; the
+//    scan issues one process-wide membarrier before reading slots (the
 //    asymmetric protocol of tamp/reclaim/asym_fence.hpp).  Where that is
 //    unavailable the publication falls back to the classic seq_cst store;
 //  * retirement is thread-local and O(1); when the local list reaches the
@@ -38,7 +40,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <vector>
 
@@ -47,7 +48,6 @@
 #include "tamp/core/thread_registry.hpp"
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
-#include "tamp/reclaim/asym_fence.hpp"
 #include "tamp/reclaim/retired_node.hpp"
 
 namespace tamp {
@@ -61,7 +61,7 @@ namespace reclaim_detail {
 /// destruction orphans any un-freed retirees.
 struct alignas(kCacheLineSize) HpThreadRecord {
     std::atomic<const void*>* slots = nullptr;  // this thread's slot block
-    unsigned claimed = 0;                       // bitmask of live slots
+    bool guarded = false;                       // a guard holds the slots
     std::size_t scan_threshold;                 // adapted at each scan
     std::vector<RetiredNode> retired;
     std::atomic<std::size_t> pending_approx{0};
@@ -77,14 +77,16 @@ inline HpThreadRecord& hp_record() {
     return rec;
 }
 
+/// Abort: a guard was opened while another held the thread's slots.
 [[noreturn]] void hp_slot_overflow();
 
 }  // namespace reclaim_detail
 
 class HazardDomain {
   public:
-    /// Hazard slots each thread may hold simultaneously.
-    static constexpr std::size_t kSlotsPerThread = 4;
+    /// Hazard slots per thread: pred/curr/succ, the most any traversal in
+    /// the catalog holds at once.  One reclaim::hp::guard holds all three.
+    static constexpr std::size_t kSlotsPerThread = 3;
     /// Floor on retirements between scans; the effective per-thread
     /// threshold grows to 2 × kSlotsPerThread × live-threads so scan cost
     /// stays amortized O(1) per retirement at any thread count.
@@ -92,9 +94,6 @@ class HazardDomain {
 
     /// The process-wide domain used by every tamp lock-free structure.
     static HazardDomain& global();
-
-    /// Raw slot access: the k-th hazard slot of the calling thread.
-    std::atomic<const void*>& slot(std::size_t k);
 
     /// Hand `p` to the domain; `deleter(p)` runs once no slot names it.
     /// Inline O(1): a push onto the calling thread's record.
@@ -134,103 +133,6 @@ inline void HazardDomain::retire(void* p, void (*deleter)(void*)) {
     obs::max_counter<obs::ev::hp_retire_list_hwm>::observe(
         rec.retired.size());
     if (rec.retired.size() >= rec.scan_threshold) scan();
-}
-
-/// RAII typed hazard slot.  Construction claims a free slot of the calling
-/// thread; destruction clears and releases it.  Claim and release are a
-/// bitmask update on the thread's own record — no function call, no shared
-/// state.
-///
-///     HazardSlot<Node> hp;            // claim
-///     Node* n = hp.protect(head);     // safe to dereference until...
-///     hp.clear();                     // ...cleared, reassigned, or ~HazardSlot
-template <typename T>
-class HazardSlot {
-  public:
-    HazardSlot() : rec_(&reclaim_detail::hp_record()) {
-        const unsigned free =
-            ~rec_->claimed & ((1u << HazardDomain::kSlotsPerThread) - 1u);
-        if (free == 0) reclaim_detail::hp_slot_overflow();
-        bit_ = free & (0u - free);  // lowest free slot
-        rec_->claimed |= bit_;
-        cell_ = rec_->slots + std::countr_zero(bit_);
-    }
-
-    ~HazardSlot() {
-        // Skip the release store when nothing was ever published — the
-        // common case for guards created on failed-CAS retry paths.
-        if (published_) cell_->store(nullptr, std::memory_order_release);
-        rec_->claimed &= ~bit_;
-    }
-
-    HazardSlot(const HazardSlot&) = delete;
-    HazardSlot& operator=(const HazardSlot&) = delete;
-
-    /// The protect loop: publish the pointer, then re-read the source to
-    /// make sure it was not retired in between.  On success the returned
-    /// node cannot be freed while this slot holds it.  Templated on the
-    /// atomic cell so both std::atomic<T*> and the tamp::atomic facade
-    /// (under TAMP_SIM) are accepted.
-    template <typename AtomicPtr>
-    T* protect(const AtomicPtr& src) {
-        T* p = src.load(std::memory_order_acquire);
-        while (true) {
-            publish(p);
-            // seq_cst, not acquire: the fallback's Dekker argument needs
-            // this re-read ordered after the seq_cst publication store.
-            // Same instruction as acquire on x86/AArch64, so the
-            // asymmetric fast path loses nothing.
-            T* again = src.load(std::memory_order_seq_cst);
-            if (again == p) {
-                published_ = (p != nullptr);
-                return p;
-            }
-            p = again;
-        }
-    }
-
-    /// Publish a pointer the caller has already validated by other means
-    /// (e.g. re-checking a marked link after publication).
-    void set(T* p) {
-        publish(p);
-        published_ = (p != nullptr);
-    }
-
-    void clear() {
-        if (published_) {
-            cell_->store(nullptr, std::memory_order_release);
-            published_ = false;
-        }
-    }
-
-  private:
-    void publish(T* p) {
-        if (asym::enabled()) {
-            // Fast path: the scan's membarrier makes this store visible
-            // before the slots are read — no store-load barrier here.
-            cell_->store(p, std::memory_order_release);
-            asym::light_barrier();
-        } else {
-            // Fallback (non-Linux / TSan / TAMP_SIM / membarrier absent):
-            // the publication must be visible to any scanner *before* we
-            // re-validate — a release store could still be in flight when
-            // a concurrent scan reads the slots.
-            // tamp-lint: allow(seqcst-store-reclaim)
-            cell_->store(p, std::memory_order_seq_cst);
-        }
-    }
-
-    reclaim_detail::HpThreadRecord* rec_;
-    std::atomic<const void*>* cell_;
-    unsigned bit_;
-    bool published_ = false;
-};
-
-/// Retire with the default deleter.
-template <typename T>
-void hazard_retire(T* p) {
-    HazardDomain::global().retire(
-        p, [](void* q) { delete static_cast<T*>(q); });
 }
 
 }  // namespace tamp

@@ -81,12 +81,4 @@ class QsbrReadGuard {
     QsbrDomain::Record* rec_;
 };
 
-/// Retire with the default deleter (the node must already be unreachable
-/// to threads that quiesce after this call).
-template <typename T>
-void qsbr_retire(T* p) {
-    QsbrDomain::global().retire(p,
-                                [](void* q) { delete static_cast<T*>(q); });
-}
-
 }  // namespace tamp

@@ -22,4 +22,10 @@ struct RetiredNode {
     }
 };
 
+/// The deleter of a typed retire(T*): `delete` as a T.
+template <typename T>
+void delete_as(void* p) {
+    delete static_cast<T*>(p);
+}
+
 }  // namespace tamp::reclaim_detail

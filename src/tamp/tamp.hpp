@@ -22,7 +22,7 @@
 #include "tamp/obs/obs.hpp"
 #include "tamp/pqueue/pqueue.hpp"
 #include "tamp/queues/queues.hpp"
-#include "tamp/reclaim/reclaim.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "tamp/registers/registers.hpp"
 #include "tamp/skiplist/skiplist.hpp"
 #include "tamp/spin/spin.hpp"

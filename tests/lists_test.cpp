@@ -11,7 +11,7 @@
 
 #include "tamp/core/random.hpp"
 #include "tamp/lists/lists.hpp"
-#include "tamp/reclaim/epoch.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -31,10 +31,15 @@ class ListSetTest : public ::testing::Test {
     S set_;
 };
 
+// LockFreeListSet runs over all three reclamation domains: EBR (the
+// default), hazard pointers (Michael's rotating two-hazard search, and a
+// contains() that runs through it) and QSBR.
 using SetTypes =
     ::testing::Types<CoarseListSet<int>, FineListSet<int>,
                      OptimisticListSet<int>, LazyListSet<int>,
-                     LockFreeListSet<int>>;
+                     LockFreeListSet<int>,
+                     LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>,
+                     LockFreeListSet<int, DefaultKeyOf<int>, reclaim::qsbr>>;
 TYPED_TEST_SUITE(ListSetTest, SetTypes);
 
 TYPED_TEST(ListSetTest, SequentialAddRemoveContains) {

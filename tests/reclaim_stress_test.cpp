@@ -13,9 +13,7 @@
 #include <cstddef>
 
 #include "tamp/reclaim/asym_fence.hpp"
-#include "tamp/reclaim/epoch.hpp"
-#include "tamp/reclaim/hazard_pointers.hpp"
-#include "tamp/reclaim/qsbr.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -44,14 +42,14 @@ TEST(ReclaimStress, HazardPointerChurn) {
             for (std::size_t i = 0; i < kIters; ++i) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-                hazard_retire(old);
+                reclaim::hp::retire(old);
             }
         } else {
             // Readers: protect, dereference, drop.
             long local = 0;
             for (std::size_t i = 0; i < kIters; ++i) {
-                HazardSlot<Box> hp;
-                Box* b = hp.protect(shared);
+                reclaim::hp::guard g;
+                Box* b = g.protect<0>(shared);
                 local += b->payload;  // must not be freed under us
             }
             sum.fetch_add(local, std::memory_order_relaxed);
@@ -59,8 +57,8 @@ TEST(ReclaimStress, HazardPointerChurn) {
     });
 
     delete shared.load(std::memory_order_relaxed);
-    HazardDomain::global().drain();
-    EXPECT_EQ(HazardDomain::global().pending(), 0u);
+    reclaim::hp::drain();
+    EXPECT_EQ(reclaim::hp::pending(), 0u);
 }
 
 // Epoch churn: every thread alternates pinned reads of a shared pointer
@@ -79,7 +77,7 @@ TEST(ReclaimStress, EpochChurn) {
             if (i % 4 == me % 4) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-                epoch_retire(old);
+                reclaim::ebr::retire(old);
             } else {
                 Box* b = shared.load(std::memory_order_acquire);
                 local += b->payload;  // pinned: cannot be freed yet
@@ -89,8 +87,8 @@ TEST(ReclaimStress, EpochChurn) {
     });
 
     delete shared.load(std::memory_order_relaxed);
-    EpochDomain::global().drain();
-    EXPECT_EQ(EpochDomain::global().pending(), 0u);
+    reclaim::ebr::drain();
+    EXPECT_EQ(reclaim::ebr::pending(), 0u);
 }
 
 // QSBR churn: guarded reads race swap-and-retire updates, with the
@@ -109,7 +107,7 @@ TEST(ReclaimStress, QsbrChurn) {
             if (i % 4 == me % 4) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-                qsbr_retire(old);
+                reclaim::qsbr::retire(old);
             } else {
                 Box* b = shared.load(std::memory_order_acquire);
                 local += b->payload;  // unquiesced: cannot be freed yet
@@ -119,8 +117,8 @@ TEST(ReclaimStress, QsbrChurn) {
     });
 
     delete shared.load(std::memory_order_relaxed);
-    QsbrDomain::global().drain();
-    EXPECT_EQ(QsbrDomain::global().pending(), 0u);
+    reclaim::qsbr::drain();
+    EXPECT_EQ(reclaim::qsbr::pending(), 0u);
 }
 
 // Restores the asymmetric-fence state even when an EXPECT fails.  Flips
@@ -147,17 +145,17 @@ TEST(ReclaimStress, FallbackFenceChurn) {
             if (me == 0) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-                hazard_retire(old);
+                reclaim::hp::retire(old);
             } else {
-                HazardSlot<Box> hp;
-                Box* b = hp.protect(shared);
+                reclaim::hp::guard g;
+                Box* b = g.protect<0>(shared);
                 (void)b->payload;
             }
         }
     });
     delete shared.load(std::memory_order_relaxed);
-    HazardDomain::global().drain();
-    EXPECT_EQ(HazardDomain::global().pending(), 0u);
+    reclaim::hp::drain();
+    EXPECT_EQ(reclaim::hp::pending(), 0u);
 
     std::atomic<Box*> eshared{new Box{-1}};
     run_threads(threads, [&](std::size_t me) {
@@ -167,7 +165,7 @@ TEST(ReclaimStress, FallbackFenceChurn) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old =
                     eshared.exchange(fresh, std::memory_order_acq_rel);
-                epoch_retire(old);
+                reclaim::ebr::retire(old);
             } else {
                 Box* b = eshared.load(std::memory_order_acquire);
                 (void)b->payload;
@@ -175,8 +173,8 @@ TEST(ReclaimStress, FallbackFenceChurn) {
         }
     });
     delete eshared.load(std::memory_order_relaxed);
-    EpochDomain::global().drain();
-    EXPECT_EQ(EpochDomain::global().pending(), 0u);
+    reclaim::ebr::drain();
+    EXPECT_EQ(reclaim::ebr::pending(), 0u);
 
     std::atomic<Box*> qshared{new Box{-1}};
     run_threads(threads, [&](std::size_t me) {
@@ -186,7 +184,7 @@ TEST(ReclaimStress, FallbackFenceChurn) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old =
                     qshared.exchange(fresh, std::memory_order_acq_rel);
-                qsbr_retire(old);
+                reclaim::qsbr::retire(old);
             } else {
                 Box* b = qshared.load(std::memory_order_acquire);
                 (void)b->payload;
@@ -194,8 +192,8 @@ TEST(ReclaimStress, FallbackFenceChurn) {
         }
     });
     delete qshared.load(std::memory_order_relaxed);
-    QsbrDomain::global().drain();
-    EXPECT_EQ(QsbrDomain::global().pending(), 0u);
+    reclaim::qsbr::drain();
+    EXPECT_EQ(reclaim::qsbr::pending(), 0u);
 }
 
 // Deleter that counts, so the churn tests below can prove every retired
@@ -221,8 +219,8 @@ TEST(ReclaimStress, HazardThreadChurnAdoptsOrphans) {
     std::atomic<bool> stop{false};
     std::thread reader([&] {
         while (!stop.load(std::memory_order_acquire)) {
-            HazardSlot<Box> hp;
-            Box* b = hp.protect(shared);
+            reclaim::hp::guard g;
+            Box* b = g.protect<0>(shared);
             (void)b->payload;
         }
     });
@@ -234,7 +232,7 @@ TEST(ReclaimStress, HazardThreadChurnAdoptsOrphans) {
                 Box* fresh = new Box{static_cast<long>(i)};
                 Box* old =
                     shared.exchange(fresh, std::memory_order_acq_rel);
-                HazardDomain::global().retire(old, counted_delete);
+                reclaim::hp::retire(old, counted_delete);
             }
         });  // writers exit here, mid-retire: lists become orphans
         retired += writers * kPerThread;
@@ -242,11 +240,11 @@ TEST(ReclaimStress, HazardThreadChurnAdoptsOrphans) {
     stop.store(true, std::memory_order_release);
     reader.join();
 
-    HazardDomain::global().retire(shared.load(std::memory_order_relaxed),
+    reclaim::hp::retire(shared.load(std::memory_order_relaxed),
                                   counted_delete);
     ++retired;
-    HazardDomain::global().drain();
-    EXPECT_EQ(HazardDomain::global().pending(), 0u);
+    reclaim::hp::drain();
+    EXPECT_EQ(reclaim::hp::pending(), 0u);
     EXPECT_EQ(g_deleted.load(std::memory_order_relaxed), retired);
 }
 
@@ -269,7 +267,7 @@ TEST(ReclaimStress, EpochThreadChurnAdoptsOrphans) {
                     Box* fresh = new Box{static_cast<long>(i)};
                     Box* old =
                         shared.exchange(fresh, std::memory_order_acq_rel);
-                    EpochDomain::global().retire(old, counted_delete);
+                    reclaim::ebr::retire(old, counted_delete);
                 } else {
                     Box* b = shared.load(std::memory_order_acquire);
                     (void)b->payload;
@@ -280,11 +278,11 @@ TEST(ReclaimStress, EpochThreadChurnAdoptsOrphans) {
     // Writers retired one node per (i, me) pair with i % 2 == me % 2.
     retired = kWaves * writers * (kPerThread / 2);
 
-    EpochDomain::global().retire(shared.load(std::memory_order_relaxed),
+    reclaim::ebr::retire(shared.load(std::memory_order_relaxed),
                                  counted_delete);
     ++retired;
-    EpochDomain::global().drain();
-    EXPECT_EQ(EpochDomain::global().pending(), 0u);
+    reclaim::ebr::drain();
+    EXPECT_EQ(reclaim::ebr::pending(), 0u);
     EXPECT_EQ(g_deleted.load(std::memory_order_relaxed), retired);
 }
 
@@ -309,7 +307,7 @@ TEST(ReclaimStress, QsbrThreadChurnAdoptsOrphans) {
                     Box* fresh = new Box{static_cast<long>(i)};
                     Box* old =
                         shared.exchange(fresh, std::memory_order_acq_rel);
-                    QsbrDomain::global().retire(old, counted_delete);
+                    reclaim::qsbr::retire(old, counted_delete);
                 } else {
                     Box* b = shared.load(std::memory_order_acquire);
                     (void)b->payload;
@@ -319,11 +317,11 @@ TEST(ReclaimStress, QsbrThreadChurnAdoptsOrphans) {
     }
     retired = kWaves * writers * (kPerThread / 2);
 
-    QsbrDomain::global().retire(shared.load(std::memory_order_relaxed),
+    reclaim::qsbr::retire(shared.load(std::memory_order_relaxed),
                                 counted_delete);
     ++retired;
-    QsbrDomain::global().drain();
-    EXPECT_EQ(QsbrDomain::global().pending(), 0u);
+    reclaim::qsbr::drain();
+    EXPECT_EQ(reclaim::qsbr::pending(), 0u);
     EXPECT_EQ(g_deleted.load(std::memory_order_relaxed), retired);
 }
 

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "tamp/obs/counter.hpp"
-#include "tamp/reclaim/reclaim.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -33,28 +33,28 @@ std::atomic<int> Tracked::live{0};
 
 TEST(HazardPointers, RetiredUnprotectedNodesGetFreed) {
     const int before = Tracked::live.load();
-    for (int i = 0; i < 500; ++i) hazard_retire(new Tracked(i));
-    HazardDomain::global().drain();
+    for (int i = 0; i < 500; ++i) reclaim::hp::retire(new Tracked(i));
+    reclaim::hp::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
 TEST(HazardPointers, ProtectedNodeSurvivesScan) {
     std::atomic<Tracked*> shared{new Tracked(42)};
-    HazardSlot<Tracked> hp;
-    Tracked* p = hp.protect(shared);
+    reclaim::hp::guard g;
+    Tracked* p = g.protect<0>(shared);
     ASSERT_EQ(p->payload, 42);
 
     // Unlink and retire while protected.
     shared.store(nullptr);
     const int live_before = Tracked::live.load();
-    hazard_retire(p);
+    reclaim::hp::retire(p);
     for (int i = 0; i < 5; ++i) HazardDomain::global().scan();
     // Still alive: our hazard names it.
     EXPECT_EQ(Tracked::live.load(), live_before);
     EXPECT_EQ(p->payload, 42);  // safe to dereference
 
-    hp.clear();
-    HazardDomain::global().drain();
+    g.clear<0>();
+    reclaim::hp::drain();
     EXPECT_EQ(Tracked::live.load(), live_before - 1);
 }
 
@@ -68,33 +68,49 @@ TEST(HazardPointers, ProtectRereadsUntilStable) {
         while (!stop.load()) {
             Tracked* fresh = new Tracked(1);
             Tracked* old = shared.exchange(fresh);
-            hazard_retire(old);
+            reclaim::hp::retire(old);
         }
     });
     for (int i = 0; i < 2000; ++i) {
-        HazardSlot<Tracked> hp;
-        Tracked* p = hp.protect(shared);
+        reclaim::hp::guard g;
+        Tracked* p = g.protect<0>(shared);
         // The node cannot be freed while protected: reading it is safe.
         EXPECT_GE(p->payload, 0);
         EXPECT_LE(p->payload, 1);
     }
     stop.store(true);
     swapper.join();
-    hazard_retire(shared.exchange(nullptr));
-    HazardDomain::global().drain();
+    reclaim::hp::retire(shared.exchange(nullptr));
+    reclaim::hp::drain();
 }
 
 TEST(HazardPointers, SlotsAreReusableAndBounded) {
-    // Claim and release slots repeatedly; claiming more than the per-
-    // thread maximum simultaneously would abort, sequential reuse must
-    // not.
+    // Sequential guards reuse the thread's slots: each publishes into all
+    // three, and each leaves them clear on exit, so the first scan after
+    // the node's retire frees it.  (NestedGuardAborts shows the bound: a
+    // second guard inside the first aborts.)
+    std::atomic<Tracked*> shared{new Tracked(5)};
     for (int round = 0; round < 100; ++round) {
-        HazardSlot<Tracked> a;
-        HazardSlot<Tracked> b;
-        HazardSlot<Tracked> c;
-        HazardSlot<Tracked> d;  // = kSlotsPerThread
+        reclaim::hp::guard g;
+        Tracked* p = g.protect<0>(shared);
+        g.set<1>(p);
+        g.set<2>(p);
+        ASSERT_EQ(p->payload, 5);
     }
-    SUCCEED();
+    reclaim::hp::retire(shared.exchange(nullptr));
+    HazardDomain::global().scan();
+    EXPECT_EQ(reclaim::hp::pending(), 0u)
+        << "a guard left a hazard published after it ended";
+}
+
+TEST(HazardPointers, NestedGuardAborts) {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            reclaim::hp::guard outer;
+            reclaim::hp::guard inner;
+        },
+        "nested hazard-pointer guard");
 }
 
 TEST(HazardPointers, OrphansFromDeadThreadsAreAdopted) {
@@ -102,12 +118,12 @@ TEST(HazardPointers, OrphansFromDeadThreadsAreAdopted) {
     std::thread t([&] {
         // Retire fewer than the scan threshold, then exit: the nodes go
         // to the orphan list.
-        for (int i = 0; i < 10; ++i) hazard_retire(new Tracked(i));
+        for (int i = 0; i < 10; ++i) reclaim::hp::retire(new Tracked(i));
     });
     t.join();
     // A scan from another thread adopts and frees them.
     HazardDomain::global().scan();
-    HazardDomain::global().drain();
+    reclaim::hp::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
@@ -117,9 +133,9 @@ TEST(Epoch, RetiredNodesFreedAfterEpochsAdvance) {
     const int before = Tracked::live.load();
     for (int i = 0; i < 100; ++i) {
         EpochGuard g;
-        epoch_retire(new Tracked(i));
+        reclaim::ebr::retire(new Tracked(i));
     }
-    EpochDomain::global().drain();
+    reclaim::ebr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
@@ -139,7 +155,7 @@ TEST(Epoch, PinnedReaderBlocksReclamation) {
     Tracked* victim = new Tracked(7);
     {
         EpochGuard g;
-        epoch_retire(victim);
+        reclaim::ebr::retire(victim);
     }
     for (int i = 0; i < 10; ++i) EpochDomain::global().collect();
     EXPECT_EQ(Tracked::live.load(), before + 1)
@@ -148,7 +164,7 @@ TEST(Epoch, PinnedReaderBlocksReclamation) {
 
     release.store(true);
     reader.join();
-    EpochDomain::global().drain();
+    reclaim::ebr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
@@ -162,7 +178,7 @@ TEST(Epoch, GuardsNest) {
     }
     // Still pinned here; a retire must not be freed under us.
     Tracked* p = new Tracked(3);
-    epoch_retire(p);
+    reclaim::ebr::retire(p);
     for (int i = 0; i < 10; ++i) EpochDomain::global().collect();
     EXPECT_EQ(p->payload, 3);
 }
@@ -178,10 +194,10 @@ TEST(Epoch, ConcurrentRetireAndCollectIsSafe) {
     run_threads(4, [&](std::size_t) {
         for (int i = 0; i < 2000; ++i) {
             EpochGuard g;
-            epoch_retire(new Tracked(i));
+            reclaim::ebr::retire(new Tracked(i));
         }
     });
-    EpochDomain::global().drain();
+    reclaim::ebr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
@@ -191,9 +207,9 @@ TEST(Qsbr, RetiredNodesFreedAfterDrain) {
     const int before = Tracked::live.load();
     for (int i = 0; i < 200; ++i) {
         QsbrReadGuard g;
-        qsbr_retire(new Tracked(i));
+        reclaim::qsbr::retire(new Tracked(i));
     }
-    QsbrDomain::global().drain();
+    reclaim::qsbr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
@@ -212,7 +228,7 @@ TEST(Qsbr, UnquiescedReaderBlocksReclamation) {
     while (!registered.load()) std::this_thread::yield();
 
     Tracked* victim = new Tracked(7);
-    qsbr_retire(victim);
+    reclaim::qsbr::retire(victim);
     for (int i = 0; i < 10; ++i) {
         QsbrDomain::global().announce();
         QsbrDomain::global().collect();
@@ -223,7 +239,7 @@ TEST(Qsbr, UnquiescedReaderBlocksReclamation) {
 
     release.store(true);
     reader.join();  // exit unregisters the reader
-    QsbrDomain::global().drain();
+    reclaim::qsbr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
@@ -241,8 +257,8 @@ TEST(Qsbr, OfflineThreadDoesNotBlockReclamation) {
 
     // The sleeper never reports quiescence, but offline threads are
     // excluded from the grace-period handshake.
-    qsbr_retire(new Tracked(1));
-    QsbrDomain::global().drain();
+    reclaim::qsbr::retire(new Tracked(1));
+    reclaim::qsbr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 
     release.store(true);
@@ -260,11 +276,11 @@ TEST(Qsbr, RetireUnderGuardStaysDereferenceable) {
         // This thread has not passed through a quiescent state since the
         // retire below, so collect() may never free the node under us.
         Tracked* p = new Tracked(3);
-        qsbr_retire(p);
+        reclaim::qsbr::retire(p);
         for (int i = 0; i < 10; ++i) QsbrDomain::global().collect();
         EXPECT_EQ(p->payload, 3);
     }
-    QsbrDomain::global().drain();
+    reclaim::qsbr::drain();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 

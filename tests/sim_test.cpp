@@ -371,7 +371,7 @@ TEST(SimReclaim, HazardProtectScanNeverFreesProtectedNode) {
         int reader_holds = -1;
 
         sim::thread reader([&] {
-            // HazardSlot<T>::protect, fallback flavor.
+            // reclaim::hp::guard::protect, fallback flavor.
             int p = src.load(std::memory_order_acquire);
             while (true) {
                 slot.store(p, std::memory_order_seq_cst);

@@ -190,7 +190,7 @@ SPIN_PAUSE_RE = re.compile(
 
 
 # Concrete reclamation backends; everything under src/tamp/ outside
-# reclaim/ must include tamp/reclaim/domain.hpp (or reclaim.hpp) instead.
+# reclaim/ must include tamp/reclaim/domain.hpp instead.
 RECLAIM_BACKEND_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*[<"]tamp/reclaim/'
     r'(?:epoch|grace_period|hazard_pointers|qsbr)\.hpp[>"]')
@@ -198,8 +198,8 @@ RECLAIM_BACKEND_INCLUDE_RE = re.compile(
 
 def in_reclaim_include_scope(path):
     """direct-reclaim-include fires for src/tamp/ files outside the
-    reclaim/ directory itself (the umbrella and the backends' own
-    cross-includes are the substrate's business)."""
+    reclaim/ directory itself (the backends' own cross-includes are the
+    substrate's business)."""
     norm = os.path.abspath(path).replace(os.sep, "/")
     return "/src/tamp/" in norm and "/src/tamp/reclaim/" not in norm
 
@@ -975,13 +975,12 @@ SELF_TEST_CASES = [
      set()),
 
     # A structure header hard-wiring a concrete backend: one finding per
-    # backend include; the concept header and umbrella stay clean.
+    # backend include; the concept header stays clean.
     ("src/tamp/lists/hardwired.hpp",
      "#include \"tamp/reclaim/epoch.hpp\"\n"
      "#include \"tamp/reclaim/hazard_pointers.hpp\"\n"
      "#include \"tamp/reclaim/qsbr.hpp\"\n"
      "#include \"tamp/reclaim/domain.hpp\"\n"
-     "#include \"tamp/reclaim/reclaim.hpp\"\n"
      "#include \"tamp/reclaim/asym_fence.hpp\"\n",
      {(1, "direct-reclaim-include"), (2, "direct-reclaim-include"),
       (3, "direct-reclaim-include")}),
