@@ -88,9 +88,11 @@ class SpinWait {
 ///
 /// Each call to `backoff()` sleeps/spins for a uniformly random number of
 /// "units" in [0, limit) and then doubles the limit, saturating at
-/// `max_units`.  `reset()` restores the initial limit; the book calls this
-/// after every successful acquisition so that a lock's backoff state does
-/// not leak across critical sections.
+/// `max_units`.  The draw comes from the thread's generator (`tls_rng()`),
+/// so successive Backoffs on one thread do not replay one delay sequence.
+/// `reset()` restores the initial limit; the book calls this after every
+/// successful acquisition so that a lock's backoff state does not leak
+/// across critical sections.
 ///
 /// Units are busy-wait iterations rather than milliseconds: at the
 /// granularity of lock-free retry loops, an OS sleep (the Java version's
@@ -106,7 +108,7 @@ class Backoff {
     /// see SpinWait::spin.
     void backoff() {
         if (sim::spin_hint_if_simulated()) return;
-        const std::uint32_t delay = rng_.next_below(limit_) + 1;
+        const std::uint32_t delay = tls_rng().next_below(limit_) + 1;
         obs::counter<obs::ev::backoff_entries>::inc();
         obs::counter<obs::ev::backoff_units>::inc(delay);
         obs::trace(obs::trace_ev::kBackoff, delay);
@@ -127,7 +129,6 @@ class Backoff {
     std::uint32_t min_;
     std::uint32_t max_;
     std::uint32_t limit_;
-    XorShift64 rng_{XorShift64::from_this_thread()};
 };
 
 }  // namespace tamp

@@ -12,11 +12,13 @@
 // forces it on, tests/obs_off_test.cpp forces it off) while the rest of the
 // program was built with the opposite setting.  To keep that well-formed,
 // everything whose *definition* depends on the macro is a template —
-// counter<Tag>, max_counter<Tag>, trace<Backend>() — so differently
-// configured TUs instantiate *distinct* entities instead of redefining one.
-// Non-template obs code (the counter registry, snapshot, the trace dump)
-// must stay macro-independent.  A TU that flips the macro must only include
-// tamp/obs headers, never the instrumented library headers.
+// counter<Tag>/max_counter<Tag>, histogram<Tag>, scoped_timer<Tag>,
+// trace<Backend>() — so differently configured TUs instantiate *distinct*
+// entities instead of redefining one.  The code every TU shares (the
+// per-thread store, the one metric registry of counters and histograms,
+// snapshot(), hist_snapshot(), the clock, the trace rings and their dump)
+// must stay macro-independent.  A TU that flips the macro must only
+// include tamp/obs headers, never the instrumented library headers.
 
 #pragma once
 

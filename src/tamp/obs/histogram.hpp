@@ -25,8 +25,9 @@
 // regression gate.
 //
 // The contract mirrors counter<Tag> exactly (see config.hpp for the ODR
-// rules): histogram<Tag> is pure tag dispatch, self-registers in a global
-// macro-independent registry on first use, is swept by hist_snapshot(),
+// rules): histogram<Tag> is pure tag dispatch, keeps its buckets in the
+// obs per-thread store, self-registers on first use in the one metric
+// registry the counters use (counter.hpp), is swept by hist_snapshot(),
 // and compiles to an empty type with constexpr no-op members when
 // TAMP_STATS is OFF.  Values are nanoseconds by convention (tag names end
 // in `_ns`); obs/timer.hpp provides the calibrated tick source.
@@ -37,13 +38,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
 #include "tamp/obs/config.hpp"
-#include "tamp/obs/counter.hpp"  // detail::sweep_bound
+#include "tamp/obs/counter.hpp"  // the per-thread store and the registry
 
 namespace tamp::obs {
 
@@ -99,37 +98,7 @@ constexpr std::uint64_t hist_bucket_high(std::size_t i) noexcept {
            ((std::uint64_t{1} << (major - kHistSubBucketBits)) - 1);
 }
 
-// ------------------------------------------------------ snapshot/registry
-
-/// Registry node, one per histogram type ever touched in this process.
-/// Lives in the histogram's (leaked) slot block; never freed.
-struct histogram_info {
-    const char* name;
-    /// Adds this histogram's merged per-thread counts into `counts`
-    /// (kHistBuckets entries) and maxes `max` with the observed maximum.
-    void (*merge)(std::uint64_t* counts, std::uint64_t* max);
-    histogram_info* next;
-};
-
-namespace detail {
-
-/// Head of the histogram registry.  Macro-independent on purpose, exactly
-/// like counter_registry_head() (see config.hpp).
-inline std::atomic<histogram_info*>& histogram_registry_head() noexcept {
-    static std::atomic<histogram_info*> head{nullptr};
-    return head;
-}
-
-inline void register_histogram(histogram_info* info) noexcept {
-    auto& head = histogram_registry_head();
-    histogram_info* h = head.load(std::memory_order_acquire);
-    do {
-        info->next = h;
-    } while (!head.compare_exchange_weak(h, info, std::memory_order_acq_rel,
-                                         std::memory_order_acquire));
-}
-
-}  // namespace detail
+// ------------------------------------------------------------- snapshot
 
 /// One merged histogram, as returned by hist_snapshot().
 struct hist_sample {
@@ -191,6 +160,21 @@ inline hist_percentiles extract_percentiles(const hist_sample& s) noexcept {
     return extract_percentiles(s.counts.data(), s.count, s.max);
 }
 
+namespace detail {
+
+/// Merge one registered histogram into a fresh sample.
+inline hist_sample merged(const char* name,
+                          void (*merge)(std::uint64_t*, std::uint64_t*)) {
+    hist_sample s;
+    s.name = name;
+    s.counts.assign(kHistBuckets, 0);
+    merge(s.counts.data(), &s.max);
+    for (std::uint64_t c : s.counts) s.count += c;
+    return s;
+}
+
+}  // namespace detail
+
 #if TAMP_STATS
 
 /// A per-thread latency histogram.  `Tag` provides
@@ -205,7 +189,7 @@ class histogram {
     /// relaxed load+store on this thread's private block (no RMW, no
     /// shared-line traffic — the perfbook update protocol).
     static void record(std::uint64_t v) noexcept {
-        Cell& c = cell();
+        Cell& c = store().local();
         std::atomic<std::uint64_t>& b = c.counts[hist_bucket_index(v)];
         b.store(b.load(std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
@@ -219,78 +203,36 @@ class histogram {
     /// in-flight records but never tears a bucket.
     static void merge_into(std::uint64_t* counts,
                            std::uint64_t* max) noexcept {
-        Slots& s = slots();
-        const std::size_t bound = detail::sweep_bound();
-        for (std::size_t t = 0; t < bound; ++t) {
-            const Cell* c = s.cells[t].load(std::memory_order_acquire);
-            if (c == nullptr) continue;
+        store().for_each([&](std::size_t, const Cell& c) {
             for (std::size_t i = 0; i < kHistBuckets; ++i) {
-                counts[i] += c->counts[i].load(std::memory_order_relaxed);
+                counts[i] += c.counts[i].load(std::memory_order_relaxed);
             }
-            *max = std::max(*max, c->max.load(std::memory_order_relaxed));
-        }
+            *max = std::max(*max, c.max.load(std::memory_order_relaxed));
+        });
     }
 
     /// Total recorded samples across threads.
-    static std::uint64_t count() noexcept {
-        std::uint64_t counts[kHistBuckets] = {};
-        std::uint64_t max = 0;
-        merge_into(counts, &max);
-        std::uint64_t n = 0;
-        for (std::uint64_t c : counts) n += c;
-        return n;
-    }
+    static std::uint64_t count() noexcept { return percentiles().count; }
 
     /// Merged percentile extraction from the sharded snapshot.
     static hist_percentiles percentiles() noexcept {
-        std::uint64_t counts[kHistBuckets] = {};
-        std::uint64_t max = 0;
-        merge_into(counts, &max);
-        std::uint64_t n = 0;
-        for (std::uint64_t c : counts) n += c;
-        return extract_percentiles(counts, n, max);
+        return extract_percentiles(detail::merged(Tag::name, &merge_into));
     }
 
   private:
-    /// One thread's bucket block (~5 KiB).  Value-initialized so every
-    /// atomic starts at zero; allocated lazily by the first record on
-    /// each dense thread id, so footprint scales with *participating*
-    /// threads, not kMaxThreads.
+    /// One thread's bucket block (~5 KiB), in the obs per-thread store
+    /// (counter.hpp): footprint scales with *participating* threads, not
+    /// kMaxThreads.
     struct alignas(kCacheLineSize) Cell {
         std::atomic<std::uint64_t> counts[kHistBuckets] = {};
         std::atomic<std::uint64_t> max{0};
     };
 
-    struct Slots {
-        std::atomic<Cell*> cells[kMaxThreads] = {};
-        histogram_info info;
-    };
-
-    static Cell& cell() noexcept {
-        Slots& s = slots();
-        std::atomic<Cell*>& slot = s.cells[thread_id()];
-        // Only the slot's current owner writes it; acquire pairs with the
-        // previous owner's release when a dense id is recycled (the new
-        // owner then accumulates into the same block, preserving totals).
-        Cell* c = slot.load(std::memory_order_acquire);
-        if (c == nullptr) {
-            c = new Cell();
-            slot.store(c, std::memory_order_release);
-        }
-        return *c;
-    }
-
-    static Slots& slots() noexcept {
-        // Leaked: records may arrive from detached threads during static
-        // destruction (same rationale as counter<Tag>).
-        static Slots* s = [] {
-            auto* p = new Slots();
-            p->info = histogram_info{Tag::name, &histogram::merge_into,
-                                     nullptr};
-            detail::register_histogram(&p->info);
-            return p;
-        }();
-        return *s;
+    static detail::per_thread<Cell>& store() noexcept {
+        static detail::per_thread<Cell>& s = detail::registered_store<Cell>(
+            {Tag::name, counter_kind::kSum, nullptr, &histogram::merge_into,
+             nullptr});
+        return s;
     }
 };
 
@@ -312,24 +254,12 @@ class histogram {
 /// Sweep every registered histogram (whatever TU instantiated it) and
 /// return the merged distributions, sorted by name for schema stability.
 inline std::vector<hist_sample> hist_snapshot() {
-    std::vector<hist_sample> out;
-    for (histogram_info* p = detail::histogram_registry_head().load(
-             std::memory_order_acquire);
-         p != nullptr; p = p->next) {
-        hist_sample s;
-        s.name = p->name;
-        s.max = 0;
-        s.counts.assign(kHistBuckets, 0);
-        p->merge(s.counts.data(), &s.max);
-        s.count = 0;
-        for (std::uint64_t c : s.counts) s.count += c;
-        out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const hist_sample& a, const hist_sample& b) {
-                  return std::strcmp(a.name, b.name) < 0;
-              });
-    return out;
+    return detail::sorted_sweep<hist_sample>(
+        [](const metric_info& m, std::vector<hist_sample>& out) {
+            if (m.merge != nullptr) {
+                out.push_back(detail::merged(m.name, m.merge));
+            }
+        });
 }
 
 }  // namespace tamp::obs

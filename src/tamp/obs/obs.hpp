@@ -1,11 +1,12 @@
 // tamp/obs/obs.hpp — umbrella for the observability layer.
 //
-// Four tiers (see README "Observability"):
-//   counter.hpp    per-thread sharded statistical counters (sum/high-water)
+// Four tiers (see README "Observability") and their vocabulary:
+//   counter.hpp    per-thread sharded statistical counters (sum/high-water),
+//                  plus the per-thread store and the registry all tiers use
 //   histogram.hpp  per-thread HDR-style latency histograms + percentiles
-//   timer.hpp      calibrated scoped/explicit timers feeding histograms
-//   events.hpp     the telemetry vocabulary (spin.*, hp.*, stm.*, *_ns, …)
+//   timer.hpp      the clock, and calibrated timers feeding histograms
 //   trace.hpp      per-thread event rings + Chrome trace_event exporter
+//   events.hpp     the telemetry vocabulary (spin.*, hp.*, stm.*, *_ns, …)
 //
 // Everything is compiled out unless TAMP_STATS is on (config.hpp).
 

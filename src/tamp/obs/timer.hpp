@@ -1,13 +1,14 @@
 // tamp/obs/timer.hpp
 //
-// Calibrated scoped timers feeding obs::histogram<Tag> — the record side
-// of the tail-latency tier.
+// The clock of tamp::obs, and the calibrated scoped timers feeding
+// obs::histogram<Tag> — the record side of the tail-latency tier.
 //
-// Tick source: now_ticks() (trace.hpp) — raw TSC on x86, steady_clock
-// ticks elsewhere.  Ticks are converted to nanoseconds through a
+// Tick source: now_ticks() — raw TSC on x86, steady_clock ticks
+// elsewhere.  Ticks are converted to nanoseconds through a
 // process-lifetime calibration latched on first use: a short busy window
 // is measured against steady_clock and the resulting ticks-per-ns ratio is
-// cached forever.
+// cached forever.  Timers and the trace exporter (trace.hpp) both convert
+// through ticks_to_ns().
 //
 // Calibration caveat (documented in README "Observability"): rdtsc on any
 // post-2008 x86 is constant-rate ("constant_tsc"), so one calibration is
@@ -40,9 +41,22 @@
 
 #include "tamp/obs/config.hpp"
 #include "tamp/obs/histogram.hpp"
-#include "tamp/obs/trace.hpp"  // now_ticks()
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
 
 namespace tamp::obs {
+
+/// Cheapest available monotonic tick source.
+inline std::uint64_t now_ticks() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    return __rdtsc();
+#else
+    return static_cast<std::uint64_t>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+#endif
+}
 
 namespace detail {
 
@@ -142,8 +156,11 @@ class scoped_timer {
 
 #else  // !TAMP_STATS — an empty type; construction/destruction is free.
 
+// [[gnu::unused]]: a timed scope never names its timer again, and GCC
+// warns about an unused variable of a trivial type; the standard
+// [[maybe_unused]] on a class does not silence that warning.
 template <typename Tag, unsigned SampleShift = 0>
-class scoped_timer {
+class [[gnu::unused]] scoped_timer {
   public:
     using backend = stats_disabled_backend;
     constexpr scoped_timer() noexcept = default;

@@ -4,15 +4,16 @@
 // the "what happened when" tier of tamp::obs, for eyeballing lock convoys,
 // backoff storms, and epoch stalls in chrome://tracing or Perfetto.
 //
-//  * each thread owns one ring of kTraceCapacity {ticks, event, arg}
-//    records; appends are a thread-local write plus a relaxed counter
-//    store — no shared state on the record path;
-//  * rings are leaked and registered globally, so trace_dump() can walk
-//    them after their threads have exited;
+//  * each dense thread id owns one ring of kTraceCapacity {ticks, event,
+//    arg} records, kept in the obs per-thread store (counter.hpp); appends
+//    are a plain write plus a relaxed counter store — no shared state on
+//    the record path;
+//  * rings are leaked, so trace_dump() can walk them after their threads
+//    have exited, and a recycled id continues its previous owner's ring;
 //  * the ring keeps the *last* kTraceCapacity events (oldest overwritten),
 //    which is the window you want when a run ends in the anomaly;
-//  * timestamps are raw TSC ticks (x86) or steady_clock ticks elsewhere,
-//    converted to microseconds at dump time from a process-lifetime anchor.
+//  * timestamps are now_ticks() (timer.hpp), converted with ticks_to_ns()
+//    at dump time and shown relative to the oldest surviving record.
 //
 // Collection (trace_collect / trace_dump) assumes mutators are quiescent —
 // call it between benchmark phases or after joining workers.  Records are
@@ -23,22 +24,18 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "tamp/core/thread_registry.hpp"
 #include "tamp/obs/config.hpp"
-#include "tamp/obs/histogram.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#endif
+#include "tamp/obs/counter.hpp"    // the per-thread store
+#include "tamp/obs/histogram.hpp"  // hist_snapshot() for the dump
+#include "tamp/obs/timer.hpp"      // now_ticks(), ticks_to_ns()
 
 namespace tamp::obs {
 
@@ -81,60 +78,20 @@ struct trace_record {
     trace_ev event;
 };
 
-/// Ring capacity per thread (power of two; ~96 KiB per thread).
+/// Ring capacity (power of two; ~96 KiB per dense thread id).
 inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 12;
-
-/// Cheapest available monotonic tick source.
-inline std::uint64_t now_ticks() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-    return __rdtsc();
-#else
-    return static_cast<std::uint64_t>(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
 
 namespace detail {
 
 struct TraceRing {
-    std::size_t tid = 0;
     std::atomic<std::uint64_t> count{0};  // total appends, monotone
     trace_record records[kTraceCapacity];
 };
 
-struct TraceRegistry {
-    std::mutex mu;
-    std::vector<TraceRing*> rings;  // leaked rings, insertion order
-};
-
-inline TraceRegistry& trace_registry() {
-    static TraceRegistry* r = new TraceRegistry();  // leaked (see header)
-    return *r;
-}
-
-/// Anchor for ticks→wall-clock conversion: latched on first use, read
-/// again at dump time to estimate the tick rate.
-struct TickAnchor {
-    std::uint64_t ticks;
-    std::chrono::steady_clock::time_point wall;
-};
-
-inline const TickAnchor& tick_anchor() {
-    static const TickAnchor a{now_ticks(), std::chrono::steady_clock::now()};
-    return a;
-}
-
-inline TraceRing& local_ring() {
-    thread_local TraceRing* ring = [] {
-        (void)tick_anchor();  // latch the anchor no later than first record
-        auto* r = new TraceRing();
-        r->tid = thread_id();
-        auto& reg = trace_registry();
-        std::lock_guard<std::mutex> guard(reg.mu);
-        reg.rings.push_back(r);
-        return r;
-    }();
-    return *ring;
+/// One ring per dense thread id.  Leaked (see header).
+inline per_thread<TraceRing>& trace_rings() noexcept {
+    static per_thread<TraceRing>* rings = new per_thread<TraceRing>();
+    return *rings;
 }
 
 }  // namespace detail
@@ -144,7 +101,7 @@ inline TraceRing& local_ring() {
 template <typename Backend = stats_backend>
 void trace(trace_ev e, std::uint64_t arg = 0) noexcept {
     if constexpr (std::is_same_v<Backend, stats_enabled_backend>) {
-        detail::TraceRing& r = detail::local_ring();
+        detail::TraceRing& r = detail::trace_rings().local();
         const std::uint64_t n = r.count.load(std::memory_order_relaxed);
         r.records[n % kTraceCapacity] =
             trace_record{now_ticks(), arg, e};
@@ -161,20 +118,20 @@ struct collected_record {
     trace_record rec;
 };
 
-/// Gather every ring's surviving records, oldest first per ring.
-/// Quiescent callers only (see header comment).
+/// Gather every ring's surviving records, in dense-id order, oldest first
+/// per ring.  Quiescent callers only (see header comment).
 inline std::vector<collected_record> trace_collect() {
     std::vector<collected_record> out;
-    auto& reg = detail::trace_registry();
-    std::lock_guard<std::mutex> guard(reg.mu);
-    for (detail::TraceRing* r : reg.rings) {
-        const std::uint64_t n = r->count.load(std::memory_order_acquire);
-        const std::uint64_t start = n > kTraceCapacity ? n - kTraceCapacity : 0;
-        for (std::uint64_t i = start; i < n; ++i) {
-            out.push_back(
-                collected_record{r->tid, r->records[i % kTraceCapacity]});
-        }
-    }
+    detail::trace_rings().for_each(
+        [&out](std::size_t tid, const detail::TraceRing& r) {
+            const std::uint64_t n = r.count.load(std::memory_order_acquire);
+            const std::uint64_t start =
+                n > kTraceCapacity ? n - kTraceCapacity : 0;
+            for (std::uint64_t i = start; i < n; ++i) {
+                out.push_back(
+                    collected_record{tid, r.records[i % kTraceCapacity]});
+            }
+        });
     return out;
 }
 
@@ -182,19 +139,17 @@ inline std::vector<collected_record> trace_collect() {
 /// (load in chrome://tracing or https://ui.perfetto.dev).  Returns false
 /// if the file could not be opened.  Quiescent callers only.
 inline bool trace_dump(const std::string& path) {
-    std::vector<collected_record> records = trace_collect();
+    const std::vector<collected_record> records = trace_collect();
 
-    // ticks → microseconds: linear map through the process anchor.
-    const detail::TickAnchor& a = detail::tick_anchor();
+    // Microseconds since the oldest surviving record.
     const std::uint64_t ticks_now = now_ticks();
-    const double us_elapsed =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - a.wall)
-            .count();
-    const double ticks_per_us =
-        (ticks_now > a.ticks && us_elapsed > 0.0)
-            ? static_cast<double>(ticks_now - a.ticks) / us_elapsed
-            : 1000.0;  // fallback: pretend 1 tick == 1 ns
+    std::uint64_t origin = ticks_now;
+    for (const collected_record& cr : records) {
+        origin = std::min(origin, cr.rec.ticks);
+    }
+    const auto us = [origin](std::uint64_t ticks) {
+        return static_cast<double>(ticks_to_ns(ticks - origin)) / 1000.0;
+    };
 
     std::ofstream out(path);
     if (!out) return false;
@@ -203,15 +158,11 @@ inline bool trace_dump(const std::string& path) {
            "\"args\":{\"name\":\"tamp\"}}";
     char buf[256];
     for (const collected_record& cr : records) {
-        const double ts =
-            static_cast<double>(cr.rec.ticks -
-                                (cr.rec.ticks > a.ticks ? a.ticks : 0)) /
-            ticks_per_us;
         std::snprintf(buf, sizeof(buf),
                       ",\n{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
                       "\"ts\":%.3f,\"pid\":1,\"tid\":%zu,"
                       "\"args\":{\"arg\":%llu}}",
-                      trace_ev_name(cr.rec.event), ts, cr.tid,
+                      trace_ev_name(cr.rec.event), us(cr.rec.ticks), cr.tid,
                       static_cast<unsigned long long>(cr.rec.arg));
         out << buf;
     }
@@ -219,8 +170,6 @@ inline bool trace_dump(const std::string& path) {
     // ("ph":"C"): one sample per histogram at dump time, with the merged
     // percentiles as the counter series — chrome://tracing then draws the
     // p50/p99/p999 levels next to the event timeline they explain.
-    const double ts_now =
-        static_cast<double>(ticks_now - a.ticks) / ticks_per_us;
     for (const hist_sample& h : hist_snapshot()) {
         if (h.count == 0) continue;
         const hist_percentiles p = extract_percentiles(h);
@@ -228,7 +177,7 @@ inline bool trace_dump(const std::string& path) {
                       ",\n{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,"
                       "\"pid\":1,\"args\":{\"p50\":%llu,\"p90\":%llu,"
                       "\"p99\":%llu,\"p999\":%llu,\"max\":%llu}}",
-                      h.name, ts_now,
+                      h.name, us(ticks_now),
                       static_cast<unsigned long long>(p.p50),
                       static_cast<unsigned long long>(p.p90),
                       static_cast<unsigned long long>(p.p99),

@@ -110,6 +110,16 @@ TEST(Backoff, ZeroMinIsCoercedToOne) {
     b.backoff();  // must not divide-by-zero / hang
 }
 
+// Each backoff() draws from the thread's generator, so two Backoffs built
+// on one thread continue one sequence instead of replaying one delay.
+TEST(Backoff, DrawsFromTheThreadGenerator) {
+    XorShift64 expected = tls_rng();
+    expected.next();  // the one draw backoff() makes
+    Backoff b;
+    b.backoff();
+    EXPECT_EQ(tls_rng().next(), expected.next());
+}
+
 // --------------------------------------------------------- thread registry
 
 TEST(ThreadRegistry, IdsAreDenseAndDistinct) {

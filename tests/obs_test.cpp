@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tamp/obs/obs.hpp"
@@ -64,6 +65,15 @@ struct timer_cancel_tag {
 };
 struct timer_since_tag {
     static constexpr const char* name = "test.timer.since";
+};
+struct recycle_sum_tag {
+    static constexpr const char* name = "test.recycle.sum";
+};
+struct recycle_max_tag {
+    static constexpr const char* name = "test.recycle.max";
+};
+struct recycle_hist_tag {
+    static constexpr const char* name = "test.recycle.hist";
 };
 
 static_assert(std::is_same_v<obs::counter<agg_tag>::backend,
@@ -167,6 +177,59 @@ TEST(ObsTrace, RingKeepsLastCapacityRecordsInOrder) {
     for (const obs::collected_record& cr : obs::trace_collect()) {
         if (cr.rec.event == obs::trace_ev::kUser && cr.rec.arg >= kBase &&
             cr.rec.arg < kBase + total) {
+            args.push_back(cr.rec.arg);
+        }
+    }
+    ASSERT_EQ(args.size(), obs::kTraceCapacity);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        EXPECT_EQ(args[i], kBase + kExtra + i);  // oldest survivor first
+    }
+}
+
+// ---------------------------------------------------------- the store
+
+// A dense id recycled after its owner exits continues that owner's cells
+// in every tier: counter, max-counter and histogram totals stay exact,
+// and the two owners' trace records form one ring, so B's records push
+// out A's oldest.
+TEST(ObsStore, RecycledIdContinuesThePreviousOwnersCells) {
+    constexpr std::uint64_t kBase = 0x5EC000000000ull;  // unique arg space
+    constexpr std::uint64_t kExtra = 10;
+    const std::uint64_t sum_before = obs::counter<recycle_sum_tag>::total();
+    const std::uint64_t hist_before =
+        obs::histogram<recycle_hist_tag>::count();
+    std::size_t id_a = 0;
+    std::size_t id_b = 0;
+    std::thread([&] {
+        id_a = tamp::thread_id();
+        obs::counter<recycle_sum_tag>::inc(5);
+        obs::max_counter<recycle_max_tag>::observe(7);
+        obs::histogram<recycle_hist_tag>::record(100);
+        for (std::uint64_t i = 0; i < obs::kTraceCapacity; ++i) {
+            obs::trace(obs::trace_ev::kUser, kBase + i);
+        }
+    }).join();
+    std::thread([&] {
+        id_b = tamp::thread_id();
+        obs::counter<recycle_sum_tag>::inc(3);
+        obs::max_counter<recycle_max_tag>::observe(4);
+        obs::histogram<recycle_hist_tag>::record(200);
+        for (std::uint64_t i = 0; i < kExtra; ++i) {
+            obs::trace(obs::trace_ev::kUser, kBase + obs::kTraceCapacity + i);
+        }
+    }).join();
+    ASSERT_EQ(id_b, id_a);
+
+    EXPECT_EQ(obs::counter<recycle_sum_tag>::total() - sum_before, 8u);
+    EXPECT_EQ(obs::max_counter<recycle_max_tag>::total(), 7u);
+    EXPECT_EQ(obs::histogram<recycle_hist_tag>::count() - hist_before, 2u);
+    EXPECT_EQ(obs::histogram<recycle_hist_tag>::percentiles().max, 200u);
+
+    std::vector<std::uint64_t> args;
+    for (const obs::collected_record& cr : obs::trace_collect()) {
+        if (cr.rec.event == obs::trace_ev::kUser && cr.rec.arg >= kBase &&
+            cr.rec.arg < kBase + obs::kTraceCapacity + kExtra) {
+            EXPECT_EQ(cr.tid, id_a);
             args.push_back(cr.rec.arg);
         }
     }
