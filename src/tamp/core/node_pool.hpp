@@ -34,9 +34,10 @@
 //    LeakSanitizer does not scan the slabs: in_use() is the leak check
 //    for pooled nodes, and a node must not own heap memory that only it
 //    points to;
-//  * at thread exit a thread's magazines go back to the depot.  A free
-//    later in the same exit (an EBR record's destructor freeing its aged
-//    nodes) goes straight to the depot.
+//  * a thread's magazines go back to the depot from an exit hook of the
+//    thread registry (core/thread_registry.hpp), which runs after the
+//    reclamation domains' hooks have freed the thread's aged nodes into
+//    them, and after every thread_local destructor of the thread.
 //
 // The pool knows nothing about the structure's threads: a block must be
 // unreachable when it is freed, which is the reclamation domain's job.
@@ -57,6 +58,7 @@
 #include <set>
 
 #include "tamp/check/asan_annotate.hpp"
+#include "tamp/core/thread_registry.hpp"
 
 namespace tamp {
 
@@ -113,17 +115,14 @@ class NodePool {
         void* blocks[kMagazine];
     };
 
-    enum class State : std::uint8_t { kFresh, kLive, kExited };
-
     /// A thread's magazines.  Constant-initialized and trivially
     /// destructible: an access is a plain TLS load (no init guard), and
-    /// the storage outlives every thread_local destructor of its thread.
+    /// the storage outlives every exit hook of its thread.
     struct Cache {
         Magazine mag[2];
         std::uint32_t loaded;    // mag[loaded] serves allocate/deallocate
-        std::uint32_t capacity;  // kMagazine while live, else 0: a fresh
-                                 // or exited thread's frees go slow
-        State state;
+        std::uint32_t capacity;  // kMagazine once attached, else 0: a
+                                 // fresh thread's first free goes slow
     };
 
     static Cache& cache() {
@@ -131,37 +130,23 @@ class NodePool {
         return c;
     }
 
-    /// Constructed by a thread's first slow-path call, so its destructor
-    /// returns the magazines at the thread's exit.
-    struct ExitHook {
-        ExitHook() {
-            Cache& c = cache();
-            c.state = State::kLive;
-            c.capacity = kMagazine;
-        }
-        ~ExitHook() {
-            Cache& c = cache();
-            for (Magazine& m : c.mag) {
-                depot().flush(m.blocks, m.n);
-                m.n = 0;
-            }
-            c.capacity = 0;
-            c.state = State::kExited;
-        }
-        ExitHook(const ExitHook&) = delete;
-        ExitHook& operator=(const ExitHook&) = delete;
-    };
+    /// A thread's first slow-path call: its exit returns the magazines.
+    static void attach(Cache& c) {
+        [[maybe_unused]] static const bool hooked = [] {
+            add_thread_exit_hook(ExitOrder::kPool, [](void*, std::size_t) {
+                for (Magazine& m : cache().mag) {
+                    depot().flush(m.blocks, m.n);
+                    m.n = 0;
+                }
+            }, nullptr);
+            return true;
+        }();
+        (void)thread_id();
+        c.capacity = kMagazine;
+    }
 
     [[gnu::noinline]] static void* allocate_slow(Cache& c) {
-        if (c.state == State::kExited) {
-            void* p = nullptr;
-            depot().refill(&p, 1);
-            TAMP_ASAN_UNPOISON(p, kBlock);
-            return p;
-        }
-        if (c.state == State::kFresh) {
-            [[maybe_unused]] thread_local ExitHook hook;
-        }
+        if (c.capacity == 0) attach(c);
         if (c.mag[c.loaded ^ 1].n != 0) {
             c.loaded ^= 1;  // the other magazine is full
         } else {
@@ -172,12 +157,8 @@ class NodePool {
     }
 
     [[gnu::noinline]] static void deallocate_slow(Cache& c, void* p) {
-        if (c.state == State::kExited) {
-            depot().flush(&p, 1);
-            return;
-        }
-        if (c.state == State::kFresh) {
-            [[maybe_unused]] thread_local ExitHook hook;
+        if (c.capacity == 0) {
+            attach(c);
         } else {
             // The loaded magazine is full: load the other, emptying it
             // into the depot first if it is full too.

@@ -1,74 +1,103 @@
 #include "tamp/core/thread_registry.hpp"
 
+#include <pthread.h>
+
+#include <atomic>
+#include <bitset>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <set>
+#include <utility>
+#include <vector>
 
 namespace tamp {
 namespace {
 
+using Hook = std::pair<void (*)(void*, std::size_t), void*>;  // fn, ctx
+
+void run_exit_hooks(void* slot);
+
 struct Registry {
     std::mutex mu;
-    std::set<std::size_t> free_ids;  // recycled slots, lowest first
-    std::size_t next_fresh = 0;      // never-used slots start here
-    std::size_t high_water = 0;
+    std::bitset<kMaxThreads> used;           // ids of live threads
+    std::atomic<std::size_t> high_water{0};  // written under mu
+    std::vector<Hook> hooks;  // every kReclaim hook before every kPool one
+    std::size_t exiting = 0;  // threads running the hooks
+    std::condition_variable none_exiting;
+    pthread_key_t key{};  // its destructor runs the hooks
 
-    std::size_t acquire() {
-        std::lock_guard<std::mutex> guard(mu);
-        std::size_t id;
-        if (!free_ids.empty()) {
-            id = *free_ids.begin();
-            free_ids.erase(free_ids.begin());
-        } else {
-            if (next_fresh >= kMaxThreads) {
-                std::fprintf(stderr,
-                             "tamp: more than %zu simultaneously registered "
-                             "threads\n",
-                             kMaxThreads);
-                std::abort();
-            }
-            id = next_fresh++;
-        }
-        if (next_fresh - free_ids.size() > high_water) {
-            high_water = next_fresh - free_ids.size();
-        }
-        return id;
+    Registry() {
+        if (pthread_key_create(&key, &run_exit_hooks) != 0) std::abort();
     }
 
-    void release(std::size_t id) {
+    std::size_t acquire() {  // the lowest free id
         std::lock_guard<std::mutex> guard(mu);
-        free_ids.insert(id);
+        std::size_t id = 0;
+        while (id < kMaxThreads && used[id]) ++id;
+        if (id == kMaxThreads) {
+            std::fprintf(stderr,
+                         "tamp: more than %zu simultaneously registered "
+                         "threads\n",
+                         kMaxThreads);
+            std::abort();
+        }
+        used[id] = true;
+        if (id >= high_water.load(std::memory_order_relaxed)) {
+            high_water.store(id + 1, std::memory_order_seq_cst);
+        }
+        // A key destructor runs only on a non-null value: store id + 1.
+        pthread_setspecific(key, reinterpret_cast<void*>(id + 1));
+        return id;
     }
 };
 
-// Leaked intentionally: thread-exit destructors of detached threads may run
-// after static destruction would have torn a non-leaked registry down.
+// Leaked intentionally: threads may exit after static destruction would
+// have torn a non-leaked registry down.
 Registry& registry() {
     static Registry* r = new Registry();
     return *r;
 }
 
-// RAII holder whose destructor (run at thread exit) recycles the slot.
-struct SlotHolder {
-    std::size_t id;
-    explicit SlotHolder(std::size_t i) : id(i) {}
-    ~SlotHolder() { registry().release(id); }
-};
+void run_exit_hooks(void* slot) {
+    const std::size_t id = reinterpret_cast<std::uintptr_t>(slot) - 1;
+    Registry& r = registry();
+    std::vector<Hook> hooks;
+    {
+        std::lock_guard<std::mutex> guard(r.mu);
+        hooks = r.hooks;
+        ++r.exiting;
+    }
+    for (const auto& [fn, ctx] : hooks) fn(ctx, id);
+    std::lock_guard<std::mutex> guard(r.mu);
+    r.used[id] = false;
+    if (--r.exiting == 0) r.none_exiting.notify_all();
+}
 
 }  // namespace
 
 namespace detail {
-std::size_t register_current_thread() {
-    thread_local SlotHolder holder(registry().acquire());
-    return holder.id;
-}
+std::size_t register_current_thread() { return registry().acquire(); }
 }  // namespace detail
 
 std::size_t thread_id_high_water_mark() {
+    return registry().high_water.load(std::memory_order_seq_cst);
+}
+
+void add_thread_exit_hook(ExitOrder order, void (*fn)(void*, std::size_t),
+                          void* ctx) {
     Registry& r = registry();
     std::lock_guard<std::mutex> guard(r.mu);
-    return r.high_water;
+    r.hooks.insert(order == ExitOrder::kPool ? r.hooks.end() : r.hooks.begin(),
+                   Hook{fn, ctx});
+}
+
+void remove_thread_exit_hook(void (*fn)(void*, std::size_t), void* ctx) {
+    Registry& r = registry();
+    std::unique_lock<std::mutex> lock(r.mu);
+    std::erase(r.hooks, Hook{fn, ctx});
+    // An exit that copied the list before the erase may still run it.
+    r.none_exiting.wait(lock, [&r] { return r.exiting == 0; });
 }
 
 }  // namespace tamp

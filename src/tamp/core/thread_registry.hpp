@@ -1,24 +1,29 @@
 // tamp/core/thread_registry.hpp
 //
-// Dense thread identifiers.
+// Dense thread identifiers, and the one place a thread's exit is handled.
 //
-// Nearly every algorithm in the principles half of the book — FilterLock,
-// BakeryLock, the register constructions, the wait-free snapshot, the
-// universal construction — and several practice-side ones (ALock, hazard
-// pointers, the elimination array's thread slots) are written against a
-// model where the n participating threads carry ids 0..n-1 ("ThreadID.get()"
-// in the book's Java).  C++'s `std::thread::id` is opaque and sparse, so the
-// library provides its own registry: the first time a thread asks for its
-// id it is assigned the smallest free slot, and the slot is recycled when
-// the thread exits.
+// Much of the book — FilterLock, BakeryLock, the register constructions,
+// the snapshot, the universal construction, ALock, hazard pointers — is
+// written against threads with ids 0..n-1 ("ThreadID.get()").  C++'s
+// `std::thread::id` is opaque and sparse, so the registry assigns each
+// thread, on its first thread_id(), the smallest free id, and recycles the
+// id when the thread exits.  Registration takes a mutex once per thread;
+// thread_id() is then a thread-local read, and the high-water mark an
+// atomic load.
 //
-// Registration happens at most once per thread lifetime and is therefore
-// allowed to take a mutex; the subsequent `thread_id()` calls on algorithm
-// hot paths are a thread-local read.
+// Thread exit.  What the library keeps per thread (reclamation records,
+// pool magazines) is handed back by one ordered list of exit hooks, not by
+// thread_locals of its own.  An exiting registered thread runs every hook,
+// in ExitOrder, before its id is released, from a pthread key destructor:
+// glibc runs those after the thread's thread_local destructors, so none of
+// them uses a domain or the pool after the hooks.  The hooks run without
+// the registry's mutex, so their deleters may allocate, retire or
+// register.  exit() runs no hooks.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace tamp {
 
@@ -27,10 +32,8 @@ namespace tamp {
 inline constexpr std::size_t kMaxThreads = 1024;
 
 namespace detail {
-/// Slow path: allocate an id for the calling thread (called once per
-/// thread, on its first `thread_id()`).  Terminates the process if more
-/// than kMaxThreads threads are simultaneously registered — that is a
-/// configuration error, not a recoverable condition.
+/// Allocate the calling thread's id, once per thread.  Aborts when
+/// kMaxThreads threads are registered: a configuration error.
 std::size_t register_current_thread();
 }  // namespace detail
 
@@ -41,8 +44,22 @@ inline std::size_t thread_id() {
     return id;
 }
 
-/// Number of ids ever handed out concurrently (high-water mark).  Useful in
-/// tests asserting that id recycling works.
+/// One past the highest id ever handed out: the most threads ever
+/// registered at once.  Bounds every per-thread sweep.
 std::size_t thread_id_high_water_mark();
+
+/// When an exit hook runs relative to the others.  A reclamation domain's
+/// exit work frees nodes into the node pool, so every domain's hook runs
+/// before the pool's, whichever registered first.
+enum class ExitOrder : std::uint8_t { kReclaim, kPool };
+
+/// Run `fn(ctx, id)` on every registered thread that exits from now on,
+/// `id` being the exiting thread's dense id.
+void add_thread_exit_hook(ExitOrder order, void (*fn)(void*, std::size_t),
+                          void* ctx);
+
+/// Remove the hook added with `fn` and `ctx`, and wait until no exiting
+/// thread can still be running it.  Not from an exit hook.
+void remove_thread_exit_hook(void (*fn)(void*, std::size_t), void* ctx);
 
 }  // namespace tamp

@@ -126,7 +126,7 @@ class SplitOrderedMap {
     /// are in flight.
     std::size_t scan(std::vector<std::pair<K, V>>& out,
                      std::size_t limit = 0) {
-        Guard guard;
+        [[maybe_unused]] Guard guard;
         sim::op_scope op("SplitOrderedMap::scan");
         Backoff backoff;
         const std::size_t base = out.size();

@@ -2,11 +2,11 @@
 //
 // Per-thread sharded statistical counters — perfbook's canonical
 // low-overhead instrumentation substrate (McKenney ch. 5), adapted from
-// per-CPU to per-registered-thread — and the two pieces every tier of
-// tamp::obs shares: the per-thread store and the metric registry.
+// per-CPU to per-registered-thread — and the metric registry every tier
+// of tamp::obs shares.
 //
-//  * one cache-line-padded cell per dense thread id (core/thread_registry),
-//    allocated on that id's first update;
+//  * one cache-line-padded cell per dense thread id, in the per-thread
+//    store (core/per_thread.hpp), allocated on that id's first update;
 //  * the owner thread updates its cell with relaxed load+store — no RMW,
 //    no fence, no shared-line traffic;
 //  * a reader sweeps all cells and sums (or maxes).  The sweep is racy by
@@ -14,9 +14,8 @@
 //    atomic, so sweeps are coherent per cell and exact once writers
 //    quiesce.
 //
-// Exactness argument: two *live* threads never share a dense id, so each
-// cell has one writer at a time; a recycled id continues the previous
-// owner's cell, which preserves totals.
+// Exactness: two live threads never share a dense id, so each cell has
+// one writer at a time, and a recycled id continues its cell's total.
 //
 // Counters and histograms register themselves in one global intrusive
 // list on first use, so the benchmark harness can sweep "everything that
@@ -32,7 +31,7 @@
 #include <vector>
 
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/config.hpp"
 
 namespace tamp::obs {
@@ -61,53 +60,6 @@ inline std::atomic<metric_info*>& registry_head() noexcept {
     static std::atomic<metric_info*> head{nullptr};
     return head;
 }
-
-/// Sweep bound: no dense id ever handed out can reach the registry's
-/// concurrent high-water mark (lowest-free-slot allocation), so cells at
-/// or above it have never been written.
-inline std::size_t sweep_bound() noexcept {
-    const std::size_t hwm = thread_id_high_water_mark();
-    return hwm < kMaxThreads ? hwm : kMaxThreads;
-}
-
-/// The per-thread store every tier keeps its state in: one `Cell` per
-/// dense thread id, allocated by the id's first update and leaked (updates
-/// may come from detached threads during static destruction).  Only the
-/// id's current owner allocates or writes its cell.  A recycled id
-/// continues the previous owner's cell — the thread registry's mutex
-/// orders the two owners — and sweeps stop at sweep_bound().
-template <typename Cell>
-class per_thread {
-  public:
-    /// The calling thread's cell.  The release store publishes the
-    /// value-initialized cell to sweeps.
-    Cell& local() noexcept {
-        std::atomic<Cell*>& slot = cells_[thread_id()];
-        Cell* c = slot.load(std::memory_order_acquire);
-        if (c == nullptr) {
-            c = new Cell();
-            slot.store(c, std::memory_order_release);
-        }
-        return *c;
-    }
-
-    /// Id `tid`'s cell, or nullptr when that id never updated.
-    const Cell* find(std::size_t tid) const noexcept {
-        return cells_[tid].load(std::memory_order_acquire);
-    }
-
-    /// f(tid, cell) for every allocated cell, in id order.
-    template <typename F>
-    void for_each(F&& f) const {
-        const std::size_t bound = sweep_bound();
-        for (std::size_t t = 0; t < bound; ++t) {
-            if (const Cell* c = find(t)) f(t, *c);
-        }
-    }
-
-  private:
-    std::atomic<Cell*> cells_[kMaxThreads] = {};
-};
 
 /// Allocate a metric's store and push `info` onto the registry.  Called
 /// once per metric type, from the initializer of its function-local
@@ -199,8 +151,8 @@ class basic_counter {
   private:
     using Cell = Padded<std::atomic<std::uint64_t>>;
 
-    static detail::per_thread<Cell>& store() noexcept {
-        static detail::per_thread<Cell>& s = detail::registered_store<Cell>(
+    static per_thread<Cell>& store() noexcept {
+        static per_thread<Cell>& s = detail::registered_store<Cell>(
             {Tag::name, Kind, &basic_counter::total, nullptr, nullptr});
         return s;
     }

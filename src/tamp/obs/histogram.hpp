@@ -26,7 +26,7 @@
 //
 // The contract mirrors counter<Tag> exactly (see config.hpp for the ODR
 // rules): histogram<Tag> is pure tag dispatch, keeps its buckets in the
-// obs per-thread store, self-registers on first use in the one metric
+// per-thread store (core/per_thread.hpp), self-registers on first use in the one metric
 // registry the counters use (counter.hpp), is swept by hist_snapshot(),
 // and compiles to an empty type with constexpr no-op members when
 // TAMP_STATS is OFF.  Values are nanoseconds by convention (tag names end
@@ -42,7 +42,7 @@
 
 #include "tamp/core/cacheline.hpp"
 #include "tamp/obs/config.hpp"
-#include "tamp/obs/counter.hpp"  // the per-thread store and the registry
+#include "tamp/obs/counter.hpp"  // the registry
 
 namespace tamp::obs {
 
@@ -220,16 +220,16 @@ class histogram {
     }
 
   private:
-    /// One thread's bucket block (~5 KiB), in the obs per-thread store
-    /// (counter.hpp): footprint scales with *participating* threads, not
+    /// One thread's bucket block (~5 KiB), in the per-thread store
+    /// (core/per_thread.hpp): footprint scales with *participating* threads, not
     /// kMaxThreads.
     struct alignas(kCacheLineSize) Cell {
         std::atomic<std::uint64_t> counts[kHistBuckets] = {};
         std::atomic<std::uint64_t> max{0};
     };
 
-    static detail::per_thread<Cell>& store() noexcept {
-        static detail::per_thread<Cell>& s = detail::registered_store<Cell>(
+    static per_thread<Cell>& store() noexcept {
+        static per_thread<Cell>& s = detail::registered_store<Cell>(
             {Tag::name, counter_kind::kSum, nullptr, &histogram::merge_into,
              nullptr});
         return s;

@@ -2,7 +2,7 @@
 //
 // Four tiers (see README "Observability") and their vocabulary:
 //   counter.hpp    per-thread sharded statistical counters (sum/high-water),
-//                  plus the per-thread store and the registry all tiers use
+//                  plus the metric registry all tiers use
 //   histogram.hpp  per-thread HDR-style latency histograms + percentiles
 //   timer.hpp      the clock, and calibrated timers feeding histograms
 //   trace.hpp      per-thread event rings + Chrome trace_event exporter

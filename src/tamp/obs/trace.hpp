@@ -5,7 +5,7 @@
 // backoff storms, and epoch stalls in chrome://tracing or Perfetto.
 //
 //  * each dense thread id owns one ring of kTraceCapacity {ticks, event,
-//    arg} records, kept in the obs per-thread store (counter.hpp); appends
+//    arg} records, kept in a per-thread store (core/per_thread.hpp); appends
 //    are a plain write plus a relaxed counter store — no shared state on
 //    the record path;
 //  * rings are leaked, so trace_dump() can walk them after their threads
@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/config.hpp"
-#include "tamp/obs/counter.hpp"    // the per-thread store
 #include "tamp/obs/histogram.hpp"  // hist_snapshot() for the dump
 #include "tamp/obs/timer.hpp"      // now_ticks(), ticks_to_ns()
 

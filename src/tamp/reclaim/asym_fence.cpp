@@ -27,13 +27,6 @@ BarrierStats g_stats;
 
 std::atomic<bool> g_inited{false};
 
-bool env_disabled() {
-    const char* v = std::getenv("TAMP_ASYMMETRIC_FENCE");
-    if (v == nullptr) return false;
-    return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "OFF") == 0;
-}
-
 }  // namespace
 
 namespace detail {
@@ -43,6 +36,13 @@ namespace detail {
 alignas(kCacheLineSize) std::atomic<bool> g_enabled{false};
 
 namespace {
+
+bool env_disabled() {
+    const char* v = std::getenv("TAMP_ASYMMETRIC_FENCE");
+    if (v == nullptr) return false;
+    return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
+           std::strcmp(v, "OFF") == 0;
+}
 
 // Raw syscall: <linux/membarrier.h> may be absent on older sysroots, and
 // glibc has no wrapper; the command values are kernel ABI.
@@ -102,7 +102,7 @@ bool set_enabled_for_test(bool on) {
     const bool prev = detail::g_enabled.load(std::memory_order_relaxed);
     if (!on) {
         detail::g_enabled.store(false, std::memory_order_relaxed);
-    } else if (!env_disabled()) {
+    } else if (!detail::env_disabled()) {
         // Re-run the registration check rather than blindly trusting `on`.
         g_inited.store(false, std::memory_order_relaxed);
         detail::init_slow();

@@ -36,7 +36,7 @@
 // Guards expose kGuardSlots (3) protection slots — pred/curr/succ, the
 // most any traversal in the catalog holds at once.  They are the three
 // hazard slots every thread has, and an HP guard uses its thread's slots
-// directly: entry and exit flip a thread-local flag, and a slot's shared
+// directly: entry and exit flip a flag in its record, and a slot's shared
 // cell is written only when the guard publishes to it and when it clears
 // it.  So a thread holds one HP guard at a time; a nested one aborts.
 //
@@ -88,9 +88,8 @@ struct hp {
 
     class guard {
       public:
-        guard()
-            : rec_(&reclaim_detail::hp_record()), slots_(rec_->slots) {
-            if (rec_->guarded) reclaim_detail::hp_slot_overflow();
+        guard() : rec_(&HazardDomain::global().record()) {
+            if (rec_->guarded) HazardDomain::nested_guard();
             rec_->guarded = true;
         }
 
@@ -115,7 +114,7 @@ struct hp {
             static_assert(I < kGuardSlots);
             auto* p = src.load(std::memory_order_acquire);
             while (true) {
-                asym::publish(slots_[I], p);
+                asym::publish(rec_->slots[I], p);
                 // seq_cst, not acquire: the fallback's Dekker argument
                 // needs this re-read ordered after the seq_cst
                 // publication store (asym::publish).  Same instruction as
@@ -134,7 +133,7 @@ struct hp {
         template <std::size_t I, typename T>
         void set(T* p) {
             static_assert(I < kGuardSlots);
-            asym::publish(slots_[I], p);
+            asym::publish(rec_->slots[I], p);
             published_[I] = (p != nullptr);
         }
 
@@ -143,14 +142,13 @@ struct hp {
         void clear() {
             static_assert(I < kGuardSlots);
             if (published_[I]) {
-                slots_[I].store(nullptr, std::memory_order_release);
+                rec_->slots[I].store(nullptr, std::memory_order_release);
                 published_[I] = false;
             }
         }
 
       private:
-        reclaim_detail::HpThreadRecord* rec_;
-        std::atomic<const void*>* slots_;  // rec_->slots, one load fewer
+        HazardDomain::Record* rec_;
         bool published_[kGuardSlots] = {};
     };
 

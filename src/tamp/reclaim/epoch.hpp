@@ -55,7 +55,7 @@ using EpochDomain = GracePeriodDomain<EbrPolicy>;
 /// through the record the guard looked up once.
 class EpochGuard {
   public:
-    EpochGuard() : rec_(&EpochDomain::record()) {
+    EpochGuard() : rec_(&EpochDomain::global().record()) {
         if (rec_->nesting++ == 0) EpochDomain::global().announce(*rec_);
     }
     ~EpochGuard() {

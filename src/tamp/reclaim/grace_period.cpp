@@ -73,39 +73,33 @@ void publish_pending(Record& rec) {
 
 template <typename P>
 GracePeriodDomain<P>::GracePeriodDomain() {
-    // period_ is loaded on every pin and retire; keep the registry lock,
-    // which every registration, pending() and collect writes, off its
-    // line.
-    static_assert(offsetof(GracePeriodDomain, mu_) >=
-                  offsetof(GracePeriodDomain, period_) + kCacheLineSize);
     asym::init();
+    add_thread_exit_hook(ExitOrder::kReclaim, &on_exit, this);
 }
 
 template <typename P>
-GracePeriodDomain<P>::Record::Record()
-    // An online record starts announced at the current period: a
-    // brand-new thread holds no references, and starting at the live
-    // period means it never reads as a straggler for grace periods that
-    // predate it.
-    : announced(P::kRegistersOnline ? global().current() : kIdle) {
-    GracePeriodDomain& dom = global();
-    std::lock_guard<std::mutex> guard(dom.mu_);
-    dom.records_.push_back(this);
+GracePeriodDomain<P>::~GracePeriodDomain() {
+    remove_thread_exit_hook(&on_exit, this);
 }
 
 template <typename P>
-GracePeriodDomain<P>::Record::~Record() {
-    GracePeriodDomain& dom = global();
+void GracePeriodDomain<P>::on_exit(void* self, std::size_t tid) {
+    auto& dom = *static_cast<GracePeriodDomain*>(self);
+    Record* rec = dom.records_.find(tid);
+    if (rec == nullptr) return;
     // What has aged is safe to free now; only young buckets are orphaned.
     // Outside the lock: a deleter may retire, and a retire may collect.
-    age(*this, dom.current());
-    obs::counter<typename P::freed>::inc(free_ready(*this, kAll));
+    age(*rec, dom.current());
+    obs::counter<typename P::freed>::inc(free_ready(*rec, kAll));
     std::lock_guard<std::mutex> guard(dom.mu_);
-    std::erase(dom.records_, this);
-    for (Bucket& b : buckets) {
-        if (!b.nodes.empty()) dom.orphans_.push_back(std::move(b));
+    for (Bucket& b : rec->buckets) {
+        if (b.nodes.empty()) continue;
+        dom.orphaned_.fetch_add(b.nodes.size(), std::memory_order_relaxed);
+        dom.orphans_.push_back(std::move(b));  // leaves b.nodes empty
     }
-    dom.has_orphans_.store(!dom.orphans_.empty(), std::memory_order_release);
+    publish_pending(*rec);
+    idle(*rec);
+    rec->attached = false;
 }
 
 template <typename P>
@@ -155,15 +149,11 @@ std::uint64_t GracePeriodDomain<P>::advance(Record& rec) {
     // The period may advance only once every announced thread has
     // observed it.  Idle threads promised to hold nothing (kIdle never
     // lags).
-    bool lagging;
-    {
-        std::lock_guard<std::mutex> guard(mu_);
-        lagging = std::any_of(records_.begin(), records_.end(),
-                              [now](const Record* r) {
-                                  return r->announced.load(
-                                             std::memory_order_seq_cst) < now;
-                              });
-    }
+    bool lagging = false;
+    records_.for_each([now, &lagging](std::size_t, const Record& r) {
+        lagging = lagging ||
+                  r.announced.load(std::memory_order_seq_cst) < now;
+    });
     std::uint64_t cur = now;
     if (!lagging) {
         // Advance now -> now+1 (one winner; losers' work was equivalent).
@@ -177,19 +167,21 @@ std::uint64_t GracePeriodDomain<P>::advance(Record& rec) {
             }
         }
     }
+    // Every attempt, batched or explicit, starts the caller's next batch.
     rec.collected_at = cur;
+    rec.since_collect = 0;
     // Adopt orphaned buckets that are old enough; leave younger ones for
     // a later collect.
-    if (has_orphans_.load(std::memory_order_acquire)) {
+    if (orphaned_.load(std::memory_order_relaxed) != 0) {
         std::lock_guard<std::mutex> guard(mu_);
         const auto young = std::partition(
             orphans_.begin(), orphans_.end(),
             [cur](const Bucket& b) { return aged(b, cur); });
         for (auto it = orphans_.begin(); it != young; ++it) {
+            orphaned_.fetch_sub(it->nodes.size(), std::memory_order_relaxed);
             make_ready(rec.ready, it->nodes);
         }
         orphans_.erase(orphans_.begin(), young);
-        has_orphans_.store(!orphans_.empty(), std::memory_order_relaxed);
     }
     return cur;
 }
@@ -213,12 +205,10 @@ void GracePeriodDomain<P>::drain() {
 
 template <typename P>
 std::size_t GracePeriodDomain<P>::pending() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    std::size_t n = 0;
-    for (const Bucket& b : orphans_) n += b.nodes.size();
-    for (const Record* r : records_) {
-        n += r->pending.load(std::memory_order_relaxed);
-    }
+    std::size_t n = orphaned_.load(std::memory_order_relaxed);
+    records_.for_each([&n](std::size_t, const Record& r) {
+        n += r.pending.load(std::memory_order_relaxed);
+    });
     return n;
 }
 

@@ -18,24 +18,40 @@
 //
 // Everything else is shared:
 //
-//  * announce() publishes the observed period with a release store +
-//    compiler barrier; collect()'s membarrier (asym_fence.hpp) makes all
-//    such publications visible before it judges stragglers.  Where
-//    membarrier is unavailable announce() falls back to a seq_cst store;
-//  * collect() advances the period by CAS (one winner) when no announced
-//    thread lags;
-//  * retirement is thread-local into three period-tagged buckets — no
-//    lock, no shared cacheline on the retire path.  Once the period has
-//    moved two past a bucket's tag, its nodes move to the thread's ready
-//    list, and each retire() frees at most kFreeBatch of them;
+//  * announce() publishes the observed period with asym::publish.  A
+//    collect's membarrier (asym_fence.hpp) makes every announcement
+//    visible (the fallback publishes with a seq_cst store), and the
+//    collect advances the period by CAS (one winner) if none lags;
+//  * retirement is thread-local into three period-tagged buckets.  Once
+//    the period has moved two past a bucket's tag, its nodes move to the
+//    thread's ready list, and each retire() frees at most kFreeBatch;
 //  * a thread attempts a grace period once per kCollectThreshold
-//    retires.  If the period has advanced since its last attempt,
-//    another thread's advance serves the batch (perfbook's batched,
-//    shared grace periods): the thread ages its buckets against it and
-//    skips the barrier and the lock.  Only a thread that saw no advance
-//    runs the membarrier, the straggler check and the CAS;
-//  * exiting threads free their aged nodes, unregister, and orphan the
-//    rest for later collects to adopt.
+//    retires.  If the period advanced since its last attempt, that
+//    advance serves the batch (perfbook's batched, shared grace periods)
+//    and the thread skips the barrier;
+//  * a thread's record is a cell of the domain's per-thread store
+//    (core/per_thread.hpp): collectors walk the cells, and pending()
+//    sums them, without a lock;
+//  * a thread's exit hook (core/thread_registry.hpp) frees its aged
+//    nodes, orphans its young buckets for later collects to adopt and
+//    leaves its record idle.  The id's next owner continues the record's
+//    batch count, so an id's successive owners collect as one thread.
+//
+// The lock-free walk misses no thread it must honour.  A thread raises
+// the registry's mark and stores its cell pointer (seq_cst) before it
+// first announces, and each announcement loads the period (seq_cst)
+// after them.  A collector loads the period, runs its barrier, then
+// loads the mark and the cells (all seq_cst).  If it misses the thread's
+// mark or cell, the thread stored it after the barrier's IPI on its CPU
+// (asymmetric protocol) or after the collector's loads in the total
+// order of seq_cst operations (fallback).  Either way the thread's next
+// period load reads the collector's period or a later one: it lags
+// nothing the collector decides.
+//
+// Unless a thread stays announced behind the period, pending() stays
+// under 4 × kCollectThreshold × M (M the registry's mark) however many
+// threads come and go: each id attempts a grace period per batch, and
+// of any M consecutive attempts one runs the barrier and adopts orphans.
 //
 // The template is explicitly instantiated for the two policies in
 // grace_period.cpp (EpochDomain and QsbrDomain are the aliases).  A
@@ -60,6 +76,7 @@
 #include <vector>
 
 #include "tamp/core/cacheline.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/counter.hpp"
 #include "tamp/reclaim/asym_fence.hpp"
 #include "tamp/reclaim/retired_node.hpp"
@@ -97,11 +114,10 @@ class GracePeriodDomain {
 
     /// Per-thread record.  `announced` is read by every collector and
     /// `pending` is summed by pending(); everything else is owner-only.
-    /// Construction registers the record (announced at the current
-    /// period or idle, per the policy); destruction frees the aged nodes,
-    /// unregisters the record and orphans the buckets still young.
+    /// `attached` (QSBR only) is cleared by the exit hook; see record().
     struct alignas(kCacheLineSize) Record {
-        std::atomic<std::uint64_t> announced;
+        std::atomic<std::uint64_t> announced{kIdle};
+        bool attached = false;
         std::uint32_t nesting = 0;  // read-section depth
         std::uint32_t exits = 0;    // outermost exits since an announce
         Bucket buckets[3];
@@ -109,12 +125,15 @@ class GracePeriodDomain {
         std::size_t since_collect = 0;
         std::uint64_t collected_at = 0;  // period at the last attempt
         alignas(kCacheLineSize) std::atomic<std::size_t> pending{0};
-
-        Record();
-        ~Record();
-        Record(const Record&) = delete;
-        Record& operator=(const Record&) = delete;
     };
+
+    /// A domain of its own; global() is the one every adapter uses.
+    GracePeriodDomain();
+    /// Frees the records.  No thread may use the domain any more (threads
+    /// that did may live on); drain() it first, or what is pending leaks.
+    ~GracePeriodDomain();
+    GracePeriodDomain(const GracePeriodDomain&) = delete;  // hooked by address
+    GracePeriodDomain& operator=(const GracePeriodDomain&) = delete;
 
     /// Inline, so a guard's pin costs a load of the pointer, not a call.
     static GracePeriodDomain& global() {
@@ -124,8 +143,15 @@ class GracePeriodDomain {
         return *d;
     }
 
-    static Record& record() {
-        thread_local Record rec;
+    /// The calling thread's record.  An id's new owner holds no
+    /// references; an online one starts announced at the live period, so
+    /// it never lags grace periods that predate it; EBR starts idle.
+    Record& record() {
+        Record& rec = records_.local();
+        if (Policy::kRegistersOnline && !rec.attached) [[unlikely]] {
+            rec.attached = true;
+            announce(rec);
+        }
         return rec;
     }
 
@@ -140,9 +166,10 @@ class GracePeriodDomain {
     /// store in the fallback.
     void announce() { announce(record()); }
 
-    /// announce() through the caller's record (`rec` is record()).
+    /// announce() through the caller's record (`rec` is record()).  The
+    /// period load is seq_cst for the lock-free walk (above).
     void announce(Record& rec) {
-        asym::publish(rec.announced, period_.load(std::memory_order_acquire));
+        asym::publish(rec.announced, period_.load(std::memory_order_seq_cst));
         if constexpr (!std::is_void_v<typename Policy::announces>) {
             obs::counter<typename Policy::announces>::inc();
         }
@@ -182,7 +209,8 @@ class GracePeriodDomain {
     }
 
   private:
-    GracePeriodDomain();
+    /// The exit hook (see the header).
+    static void on_exit(void* self, std::size_t tid);
 
     /// The barrier half of collect(): membarrier, straggler check, CAS,
     /// then adopt old enough orphans into the caller's ready list.
@@ -191,16 +219,12 @@ class GracePeriodDomain {
 
     // Loaded by every announce() and retire(): alone on its line.
     alignas(kCacheLineSize) std::atomic<std::uint64_t> period_{0};
-
-    // Live records (collectors walk them for stragglers; pending() sums
-    // them) and buckets orphaned by exited threads, adopted by later
-    // collects.  has_orphans_ keeps the common collect off the lock.
-    // Registration, pending() and every barrier collect write mu_, so it
-    // starts a line of its own.
-    alignas(kCacheLineSize) mutable std::mutex mu_;
-    std::vector<Record*> records_;
+    alignas(kCacheLineSize) per_thread<Record> records_;
+    // Buckets of exited threads, adopted by later collects.  orphaned_
+    // counts their nodes for pending() and the lock-free common collect.
+    std::mutex mu_;
     std::vector<Bucket> orphans_;
-    alignas(kCacheLineSize) std::atomic<bool> has_orphans_{false};
+    alignas(kCacheLineSize) std::atomic<std::size_t> orphaned_{0};
 };
 
 }  // namespace tamp

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <mutex>
 
 #include "tamp/obs/timer.hpp"
 #include "tamp/obs/trace.hpp"
@@ -12,92 +11,62 @@
 
 namespace tamp {
 
-using reclaim_detail::HpThreadRecord;
 using reclaim_detail::RetiredNode;
 
-struct HazardDomain::Impl {
-    struct alignas(kCacheLineSize) SlotBlock {
-        std::atomic<const void*> slots[kSlotsPerThread];
-    };
-
-    SlotBlock blocks[kMaxThreads];
-    // Highest thread id that has ever touched a slot: bounds scan cost.
-    alignas(kCacheLineSize) std::atomic<std::size_t> max_tid{0};
-
-    // Registry of live per-thread records (pending() sums them) and the
-    // retirees orphaned by exited threads, adopted by later scans.
-    std::mutex mu;
-    std::vector<HpThreadRecord*> records;
-    std::vector<RetiredNode> orphans;
-    alignas(kCacheLineSize) std::atomic<bool> has_orphans{false};
-    // Registered-record count, read by scans to adapt the threshold.
-    alignas(kCacheLineSize) std::atomic<std::size_t> live_records{0};
-};
-
-namespace {
-
-HazardDomain::Impl* g_impl = nullptr;
-
-}  // namespace
-
-HazardDomain::HazardDomain() : impl_(new Impl()) {
-    for (auto& block : impl_->blocks) {
-        for (auto& s : block.slots) {
-            s.store(nullptr, std::memory_order_relaxed);
-        }
-    }
+HazardDomain::HazardDomain() {
     asym::init();
+    add_thread_exit_hook(ExitOrder::kReclaim, &on_exit, this);
 }
 
-HazardDomain& HazardDomain::global() {
-    // Leaked: detached threads may retire during static destruction.
-    static HazardDomain* d = [] {
-        auto* dom = new HazardDomain();
-        g_impl = dom->impl_;
-        return dom;
-    }();
-    return *d;
+HazardDomain::~HazardDomain() { remove_thread_exit_hook(&on_exit, this); }
+
+void HazardDomain::on_exit(void* self, std::size_t tid) {
+    auto& dom = *static_cast<HazardDomain*>(self);
+    Record* rec = dom.records_.find(tid);
+    if (rec == nullptr || rec->retired.empty()) return;
+    // Orphans count toward the exiting thread's batch: threads too short
+    // to fill one still scan once their lists add up to one.
+    if (rec->retired.size() + dom.orphaned_.load(std::memory_order_relaxed) >=
+        rec->scan_threshold) {
+        dom.scan();
+    }
+    std::lock_guard<std::mutex> guard(dom.mu_);
+    dom.orphans_.insert(dom.orphans_.end(), rec->retired.begin(),
+                        rec->retired.end());
+    dom.orphaned_.store(dom.orphans_.size(), std::memory_order_relaxed);
+    rec->retired.clear();
+    rec->pending.store(0, std::memory_order_relaxed);
 }
 
 void HazardDomain::scan() {
     obs::scoped_timer<obs::ev::hp_scan_ns> scan_latency;
-    auto& rec = reclaim_detail::hp_record();
+    Record& rec = record();
     // Adopt orphans so nodes retired by dead threads still get freed.
-    // The flag keeps the common no-orphans scan lock-free.
-    if (impl_->has_orphans.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> guard(impl_->mu);
-        if (!impl_->orphans.empty()) {
-            rec.retired.insert(rec.retired.end(), impl_->orphans.begin(),
-                               impl_->orphans.end());
-            impl_->orphans.clear();
-        }
-        impl_->has_orphans.store(false, std::memory_order_relaxed);
+    // The count keeps the common no-orphans scan lock-free.
+    if (orphaned_.load(std::memory_order_relaxed) != 0) {
+        std::lock_guard<std::mutex> guard(mu_);
+        rec.retired.insert(rec.retired.end(), orphans_.begin(),
+                           orphans_.end());
+        orphans_.clear();
+        orphaned_.store(0, std::memory_order_relaxed);
     }
-    // Adapt the threshold to the live-thread count: scanning S slots is
-    // only amortized O(1) per retirement if the batch R grows with S
-    // (Michael's R ≥ H·(1+ε) rule, ε = 1 here).
-    const std::size_t live = impl_->live_records.load(std::memory_order_relaxed);
-    rec.scan_threshold =
-        std::max(kScanThreshold, 2 * kSlotsPerThread * live);
+    // R = max(kScanThreshold, 2H), H the slots a scan reads (header).
+    rec.scan_threshold = std::max(
+        kScanThreshold, 2 * kSlotsPerThread * thread_id_high_water_mark());
 
     // Stage 1: make every reader's publication visible (membarrier under
     // the asymmetric protocol; under the fallback the seq_cst loads below
     // pair with the seq_cst publication stores), then snapshot all
-    // published hazards into a sorted array — O(S log S) once, O(log S)
+    // published hazards into a sorted array — O(H log H) once, O(log H)
     // per retiree below, instead of a hash-set probe per retiree.
     asym::heavy_barrier();
     std::vector<const void*> protected_ptrs;
-    protected_ptrs.reserve(2 * kSlotsPerThread);
-    const std::size_t upper =
-        std::min(impl_->max_tid.load(std::memory_order_acquire) + 1,
-                 kMaxThreads);
-    for (std::size_t t = 0; t < upper; ++t) {
-        for (std::size_t k = 0; k < kSlotsPerThread; ++k) {
-            const void* p =
-                impl_->blocks[t].slots[k].load(std::memory_order_seq_cst);
+    records_.for_each([&protected_ptrs](std::size_t, const Record& r) {
+        for (const auto& slot : r.slots) {
+            const void* p = slot.load(std::memory_order_seq_cst);
             if (p != nullptr) protected_ptrs.push_back(p);
         }
-    }
+    });
     std::sort(protected_ptrs.begin(), protected_ptrs.end(),
               std::less<const void*>());
 
@@ -117,7 +86,7 @@ void HazardDomain::scan() {
             ++freed;
         }
     }
-    rec.pending_approx.store(rec.retired.size(), std::memory_order_relaxed);
+    rec.pending.store(rec.retired.size(), std::memory_order_relaxed);
     obs::counter<obs::ev::hp_scans>::inc();
     obs::counter<obs::ev::hp_freed>::inc(freed);
     obs::max_counter<obs::ev::hp_freed_per_scan_hwm>::observe(freed);
@@ -130,60 +99,19 @@ void HazardDomain::drain() {
 }
 
 std::size_t HazardDomain::pending() const {
-    std::lock_guard<std::mutex> guard(impl_->mu);
-    std::size_t n = impl_->orphans.size();
-    for (const HpThreadRecord* r : impl_->records) {
-        n += r->pending_approx.load(std::memory_order_relaxed);
-    }
+    std::size_t n = orphaned_.load(std::memory_order_relaxed);
+    records_.for_each([&n](std::size_t, const Record& r) {
+        n += r.pending.load(std::memory_order_relaxed);
+    });
     return n;
 }
 
-namespace reclaim_detail {
-
-HpThreadRecord::HpThreadRecord()
-    : scan_threshold(HazardDomain::kScanThreshold) {
-    HazardDomain& dom = HazardDomain::global();
-    auto* impl = dom.impl_;
-    const std::size_t tid = thread_id();
-    // Keep the scan bound tight: remember the highest slot-block in use.
-    // Monotonic-max bookkeeping only — the scan's acquire load pairs with
-    // the slot stores, not with this.
-    std::size_t seen = impl->max_tid.load(std::memory_order_relaxed);
-    // tamp-lint: allow(cas-relaxed-success)
-    while (tid > seen && !impl->max_tid.compare_exchange_weak(
-                             seen, tid, std::memory_order_relaxed)) {
-    }
-    slots = impl->blocks[tid].slots;
-    retired.reserve(HazardDomain::kScanThreshold);
-    std::lock_guard<std::mutex> guard(impl->mu);
-    impl->records.push_back(this);
-    impl->live_records.store(impl->records.size(),
-                             std::memory_order_relaxed);
-}
-
-HpThreadRecord::~HpThreadRecord() {
-    auto* impl = g_impl;
-    if (impl == nullptr) return;
-    std::lock_guard<std::mutex> guard(impl->mu);
-    auto it = std::find(impl->records.begin(), impl->records.end(), this);
-    if (it != impl->records.end()) impl->records.erase(it);
-    impl->live_records.store(impl->records.size(),
-                             std::memory_order_relaxed);
-    if (!retired.empty()) {
-        impl->orphans.insert(impl->orphans.end(), retired.begin(),
-                             retired.end());
-        impl->has_orphans.store(true, std::memory_order_release);
-    }
-}
-
-void hp_slot_overflow() {
+void HazardDomain::nested_guard() {
     std::fprintf(stderr,
                  "tamp: nested hazard-pointer guard: a thread's %zu hazard "
                  "slots belong to one guard at a time\n",
-                 HazardDomain::kSlotsPerThread);
+                 kSlotsPerThread);
     std::abort();
 }
-
-}  // namespace reclaim_detail
 
 }  // namespace tamp

@@ -12,75 +12,52 @@
 // published slot names them.
 //
 // Design:
-//  * one global domain; slots are indexed by tamp::thread_id(), three per
-//    thread (pred+curr+succ, the most any traversal holds), all owned by
-//    the thread's one reclaim::hp::guard (tamp/reclaim/domain.hpp), the
-//    front end that publishes into them;
-//  * every thread carries a HpThreadRecord (thread_local) caching its
-//    slot-block base, whether a guard holds the slots, and its retire
-//    list, so guard entry/exit and retire are inline O(1) with no shared-
-//    cacheline traffic — the only cross-thread stores on the fast path
-//    are the hazard publications themselves;
+//  * a thread's three slots (pred+curr+succ, the most any traversal
+//    holds), its guard flag and its retire list are one record, a cell of
+//    the domain's per-thread store (core/per_thread.hpp).  Its one
+//    reclaim::hp::guard (domain.hpp) publishes into the slots; guard
+//    entry/exit and retire are inline O(1), and the only cross-thread
+//    stores on the fast path are the publications themselves;
 //  * the publication is asym::publish: release + a compiler barrier; the
 //    scan issues one process-wide membarrier before reading slots (the
 //    asymmetric protocol of tamp/reclaim/asym_fence.hpp).  Where that is
 //    unavailable the publication falls back to the classic seq_cst store;
-//  * retirement is thread-local and O(1); when the local list reaches the
-//    scan threshold — kScanThreshold, scaled up with the live-thread
-//    count so the amortized bound R ≥ 2·H of Michael's paper holds — the
-//    thread scans all published slots (one sorted snapshot, binary search
-//    per retiree) and frees the unprotected ones;
-//  * exiting threads hand their un-freed retirees to a global orphan list
-//    that later scans adopt.
+//  * retirement is thread-local and O(1).  When a thread's list reaches
+//    R = max(kScanThreshold, 2H) nodes it scans the H = kSlotsPerThread ×
+//    M slots of the ids below the registry's high-water mark M (one
+//    sorted snapshot, binary search per retiree) and frees the retirees
+//    none names: Michael's R ≥ 2H keeps that amortized O(1) per retire;
+//  * a thread's exit hook (core/thread_registry.hpp) orphans its retire
+//    list for later scans to adopt, first scanning if the list and the
+//    orphans together reach its threshold.
 //
-// The domain is process-lifetime (intentionally leaked — detached threads
-// may retire after static destruction begins).  Memory overhead is bounded
-// by  scan-threshold × live-threads  unreclaimed nodes.
+// The lock-free scan misses no hazard it must honour.  A thread raises
+// the mark and stores its cell pointer (seq_cst) before it publishes; the
+// scan loads both (seq_cst) after its barrier.  A scan that misses either
+// would miss the later publication too, so the Dekker pair of
+// asym_fence.hpp (membarrier, or seq_cst on both sides) makes the
+// publisher's re-validation see the unlink: it retries.
+//
+// Unreclaimed nodes: a thread's list holds at most R (a scan leaves at
+// most H < R); an exiting thread adds under R orphans or scans, so the
+// orphans stay under M × R + H.  In all, under 2 × M × R + H however
+// many threads come and go.  global() is leaked (detached threads).
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <mutex>
 #include <vector>
 
 #include "tamp/check/tsan_annotate.hpp"
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
 #include "tamp/reclaim/retired_node.hpp"
 
 namespace tamp {
-
-namespace reclaim_detail {
-
-/// Per-thread hazard record: the inline fast-path state.  All non-atomic
-/// fields are owner-only; `pending_approx` is owner-written (own line,
-/// relaxed) and read by HazardDomain::pending().  Construction registers
-/// the record with the domain (and binds the thread's slot block);
-/// destruction orphans any un-freed retirees.
-struct alignas(kCacheLineSize) HpThreadRecord {
-    std::atomic<const void*>* slots = nullptr;  // this thread's slot block
-    bool guarded = false;                       // a guard holds the slots
-    std::size_t scan_threshold;                 // adapted at each scan
-    std::vector<RetiredNode> retired;
-    std::atomic<std::size_t> pending_approx{0};
-
-    HpThreadRecord();
-    ~HpThreadRecord();
-    HpThreadRecord(const HpThreadRecord&) = delete;
-    HpThreadRecord& operator=(const HpThreadRecord&) = delete;
-};
-
-inline HpThreadRecord& hp_record() {
-    thread_local HpThreadRecord rec;
-    return rec;
-}
-
-/// Abort: a guard was opened while another held the thread's slots.
-[[noreturn]] void hp_slot_overflow();
-
-}  // namespace reclaim_detail
 
 class HazardDomain {
   public:
@@ -88,12 +65,38 @@ class HazardDomain {
     /// the catalog holds at once.  One reclaim::hp::guard holds all three.
     static constexpr std::size_t kSlotsPerThread = 3;
     /// Floor on retirements between scans; the effective per-thread
-    /// threshold grows to 2 × kSlotsPerThread × live-threads so scan cost
-    /// stays amortized O(1) per retirement at any thread count.
+    /// threshold grows to 2 × kSlotsPerThread × the high-water mark so
+    /// scan cost stays amortized O(1) per retirement at any thread count.
     static constexpr std::size_t kScanThreshold = 64;
 
+    /// Per-thread record.  The slots, on a line of their own, are read by
+    /// every scan and `pending` by pending(); the rest is owner-only.  The
+    /// guard clears the slots and `guarded` and the exit hook empties the
+    /// retire list, so the id's next owner starts as a new thread does.
+    struct alignas(kCacheLineSize) Record {
+        std::atomic<const void*> slots[kSlotsPerThread] = {};
+        alignas(kCacheLineSize) bool guarded = false;
+        std::size_t scan_threshold = kScanThreshold;  // adapted at each scan
+        std::vector<reclaim_detail::RetiredNode> retired;
+        std::atomic<std::size_t> pending{0};
+    };
+
+    /// A domain of its own; global() is the one every adapter uses.
+    HazardDomain();
+    /// Frees the records.  No thread may use the domain any more (threads
+    /// that did may live on); drain() it first, or what is pending leaks.
+    ~HazardDomain();
+    HazardDomain(const HazardDomain&) = delete;  // hooked by address
+    HazardDomain& operator=(const HazardDomain&) = delete;
+
     /// The process-wide domain used by every tamp lock-free structure.
-    static HazardDomain& global();
+    static HazardDomain& global() {
+        static auto* d = new HazardDomain();  // leaked (see the header)
+        return *d;
+    }
+
+    /// The calling thread's record.
+    Record& record() { return records_.local(); }
 
     /// Hand `p` to the domain; `deleter(p)` runs once no slot names it.
     /// Inline O(1): a push onto the calling thread's record.
@@ -111,24 +114,30 @@ class HazardDomain {
     /// Statistics for tests: nodes currently awaiting reclamation.
     std::size_t pending() const;
 
-    /// Implementation record; opaque outside the .cpp.
-    struct Impl;
+    /// Abort: a guard was opened while another held the thread's slots.
+    [[noreturn]] static void nested_guard();
 
   private:
-    friend struct reclaim_detail::HpThreadRecord;
-    HazardDomain();
-    Impl* impl_;
+    /// The exit hook (see the header).
+    static void on_exit(void* self, std::size_t tid);
+
+    per_thread<Record> records_;
+    // Retirees of exited threads, adopted by later scans.  orphaned_
+    // counts them for pending() and the lock-free common scan.
+    std::mutex mu_;
+    std::vector<reclaim_detail::RetiredNode> orphans_;
+    alignas(kCacheLineSize) std::atomic<std::size_t> orphaned_{0};
 };
 
 inline void HazardDomain::retire(void* p, void (*deleter)(void*)) {
-    auto& rec = reclaim_detail::hp_record();
+    Record& rec = record();
     // The retirer's accesses to *p happen-before the eventual free.  TSan
     // cannot derive this edge from the hazard-scan argument (it rides on
     // the publication/scan fence protocol, not on a release/acquire pair
     // on `p` itself), so state it explicitly.
     TAMP_TSAN_RELEASE(p);
     rec.retired.push_back(reclaim_detail::RetiredNode{p, deleter});
-    rec.pending_approx.store(rec.retired.size(), std::memory_order_relaxed);
+    rec.pending.store(rec.retired.size(), std::memory_order_relaxed);
     obs::counter<obs::ev::hp_retired>::inc();
     obs::max_counter<obs::ev::hp_retire_list_hwm>::observe(
         rec.retired.size());

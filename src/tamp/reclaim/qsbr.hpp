@@ -65,7 +65,9 @@ class QsbrReadGuard {
     /// Outermost guard exits between automatic quiescence reports.
     static constexpr std::uint32_t kQuiescePeriod = 64;
 
-    QsbrReadGuard() : rec_(&QsbrDomain::record()) { ++rec_->nesting; }
+    QsbrReadGuard() : rec_(&QsbrDomain::global().record()) {
+        ++rec_->nesting;
+    }
 
     ~QsbrReadGuard() {
         if (--rec_->nesting == 0 && ++rec_->exits >= kQuiescePeriod) {

@@ -337,9 +337,9 @@ TEST(NodePool, NodeFreedOnEbrThreadExitLandsInTheDepot) {
     {
         SplitOrderedHashSet<int> set;
         std::atomic<int> stage{0};
-        // The thread's EBR record is built by its first guard, before its
-        // first node: the record's destructor runs after the pool's exit
-        // hook and frees the aged nodes into a thread with no magazines.
+        // At the thread's exit the EBR exit hook frees the aged nodes
+        // into its magazines, and the pool's exit hook, which always runs
+        // after every domain's, returns them to the depot.
         std::thread t([&] {
             for (int i = 0; i < 100; ++i) set.add(i);
             for (int i = 0; i < 100; ++i) set.remove(i);

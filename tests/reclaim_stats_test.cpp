@@ -75,7 +75,7 @@ void expect_every_free_counted() {
     const std::uint64_t deleted_before = g_deleted.load();
     std::thread([&] {
         dom.idle();
-        while (Domain::record().ready.empty()) {
+        while (dom.record().ready.empty()) {
             dom.retire(new int(0), counting_delete);
         }
     }).join();  // exits with nodes on its ready list and in its buckets

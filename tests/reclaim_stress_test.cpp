@@ -9,9 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <fstream>
+#include <type_traits>
 
+#include "tamp/check/asan_annotate.hpp"
+#include "tamp/check/tsan_annotate.hpp"
+#include "tamp/core/thread_registry.hpp"
 #include "tamp/reclaim/asym_fence.hpp"
 #include "tamp/reclaim/domain.hpp"
 #include "test_util.hpp"
@@ -323,6 +331,96 @@ TEST(ReclaimStress, QsbrThreadChurnAdoptsOrphans) {
     reclaim::qsbr::drain();
     EXPECT_EQ(reclaim::qsbr::pending(), 0u);
     EXPECT_EQ(g_deleted.load(std::memory_order_relaxed), retired);
+}
+
+// Thread churn at scale: 10^4 threads in waves of kWave, each retiring
+// kPerThread nodes (under every domain's batch) and exiting.  No thread
+// lives long enough to fill a batch, so reclamation keeps up only if an
+// id's successive owners share its batch count (grace_period.hpp) or
+// exits scan (hazard_pointers.hpp).  The backlog must stay under the
+// bound the domain's header states, which does not grow with the number
+// of threads, and so must the process's resident memory.  Under a
+// sanitizer RSS measures the sanitizer: ASan's quarantine holds every
+// freed block, and TSan's per-thread clocks grow with the number of
+// threads whose retirees a thread frees.  There only the backlog and the
+// deleter count are checked.
+constexpr bool kRssIsTheProgram = !TAMP_ASAN_ENABLED && !TAMP_TSAN_ENABLED;
+
+std::size_t resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0;
+    std::size_t resident = 0;
+    statm >> pages >> resident;
+    return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+template <typename D, std::size_t kPerThread = 100>
+void expect_churn_backlog_bounded(std::size_t (*bound)()) {
+    constexpr std::size_t kThreads = 10000;
+    constexpr std::size_t kWave = 8;
+    constexpr std::size_t kCheckEvery = 125;  // waves
+    D::drain();
+    if constexpr (std::is_same_v<D, reclaim::qsbr>) {
+        // drain() left this thread announced; it holds no references.
+        QsbrDomain::global().idle();
+    }
+    const std::size_t deleted0 = g_deleted.load(std::memory_order_relaxed);
+    std::size_t rss_at_first_check = 0;
+    for (std::size_t wave = 1; wave <= kThreads / kWave; ++wave) {
+        run_threads(kWave, [](std::size_t) {
+            for (std::size_t i = 0; i < kPerThread; ++i) {
+                typename D::guard g;
+                D::retire(new Box{static_cast<long>(i)}, counted_delete);
+            }
+        });
+        if (wave % kCheckEvery != 0) continue;
+        EXPECT_LE(D::pending(), bound()) << "after wave " << wave;
+        if (rss_at_first_check == 0) rss_at_first_check = resident_bytes();
+    }
+    if (kRssIsTheProgram) {
+        EXPECT_LT(resident_bytes(),
+                  rss_at_first_check + (std::size_t{4} << 20))
+            << "resident memory grew with the thread count";
+    }
+    D::drain();
+    EXPECT_EQ(D::pending(), 0u);
+    EXPECT_EQ(g_deleted.load(std::memory_order_relaxed) - deleted0,
+              kThreads * kPerThread);
+}
+
+// hazard_pointers.hpp: under 2 × M × R + H, M the mark.
+std::size_t hazard_backlog_bound() {
+    const std::size_t mark = thread_id_high_water_mark();
+    const std::size_t h = HazardDomain::kSlotsPerThread * mark;
+    return 2 * mark * std::max(HazardDomain::kScanThreshold, 2 * h) + h;
+}
+
+// grace_period.hpp: under 4 × kCollectThreshold × M.
+template <typename Policy>
+std::size_t grace_period_backlog_bound() {
+    return 4 * GracePeriodDomain<Policy>::kCollectThreshold *
+           thread_id_high_water_mark();
+}
+
+TEST(ReclaimStress, HazardThreadChurnBacklogStaysBounded) {
+    expect_churn_backlog_bounded<reclaim::hp>(&hazard_backlog_bound);
+}
+
+// Threads that retire fewer nodes than kScanThreshold never scan on their
+// own; their exits must, once the orphans add up to a batch.
+TEST(ReclaimStress, HazardShortThreadChurnBacklogStaysBounded) {
+    static_assert(50 < HazardDomain::kScanThreshold);
+    expect_churn_backlog_bounded<reclaim::hp, 50>(&hazard_backlog_bound);
+}
+
+TEST(ReclaimStress, EpochThreadChurnBacklogStaysBounded) {
+    expect_churn_backlog_bounded<reclaim::ebr>(
+        &grace_period_backlog_bound<EbrPolicy>);
+}
+
+TEST(ReclaimStress, QsbrThreadChurnBacklogStaysBounded) {
+    expect_churn_backlog_bounded<reclaim::qsbr>(
+        &grace_period_backlog_bound<QsbrPolicy>);
 }
 
 }  // namespace

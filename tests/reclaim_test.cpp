@@ -9,8 +9,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <thread>
+#include <type_traits>
 
+#include "tamp/core/thread_registry.hpp"
 #include "tamp/obs/counter.hpp"
 #include "tamp/reclaim/domain.hpp"
 #include "test_util.hpp"
@@ -391,7 +394,7 @@ class GracePeriodBatch : public ::testing::Test {
     // waiting there; returns the number retired.
     static std::size_t retire_until_ready() {
         std::size_t retired = 0;
-        while (Domain::record().ready.empty()) {
+        while (dom().record().ready.empty()) {
             retire_one();
             ++retired;
             if (retired > 8 * Domain::kCollectThreshold) {
@@ -476,7 +479,6 @@ TYPED_TEST(GracePeriodBatch, NoRetireFreesMoreThanTheFreeBatch) {
 }
 
 TYPED_TEST(GracePeriodBatch, PendingCountsTheReadyListAndDrainEmptiesIt) {
-    using D = typename TestFixture::Domain;
     std::thread([] {
         TestFixture::dom().idle();
         const std::size_t pending0 = TestFixture::dom().pending();
@@ -486,14 +488,13 @@ TYPED_TEST(GracePeriodBatch, PendingCountsTheReadyListAndDrainEmptiesIt) {
         EXPECT_EQ(TestFixture::dom().pending() - pending0, retired - deleted);
 
         TestFixture::dom().drain();
-        EXPECT_TRUE(D::record().ready.empty());
+        EXPECT_TRUE(TestFixture::dom().record().ready.empty());
         EXPECT_EQ(g_deleted.load() - deleted0, retired);
         EXPECT_EQ(TestFixture::dom().pending(), 0u);
     }).join();
 }
 
 TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
-    using D = typename TestFixture::Domain;
     const std::size_t pending0 = TestFixture::dom().pending();
     const std::uint64_t deleted0 = g_deleted.load();
     std::size_t retired = 0;
@@ -502,7 +503,7 @@ TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
     std::thread([&] {
         TestFixture::dom().idle();
         retired = TestFixture::retire_until_ready();
-        ready_at_exit = D::record().ready.size();
+        ready_at_exit = TestFixture::dom().record().ready.size();
         deleted_before_exit = g_deleted.load() - deleted0;
     }).join();
     const std::uint64_t deleted = g_deleted.load() - deleted0;
@@ -514,6 +515,182 @@ TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
     TestFixture::dom().drain();
     TestFixture::dom().idle();
     EXPECT_EQ(g_deleted.load() - deleted0, retired);
+}
+
+// ------------------------------------------------------- recycled ids
+//
+// A thread that takes over an exited thread's dense id takes over its
+// records too (one cell per id in each domain).  It must start the way a
+// brand-new thread does, whatever state the previous owner left.  Each
+// test runs thread A, then thread B, and asserts B got A's id.
+
+void wait_for(const std::atomic<int>& stage, int value) {
+    while (stage.load(std::memory_order_acquire) != value) {
+        std::this_thread::yield();
+    }
+}
+
+TEST(Qsbr, RecycledIdStartsAnnouncedAtTheLivePeriod) {
+    QsbrDomain& dom = QsbrDomain::global();
+    dom.idle();
+    std::size_t id_a = 0;
+    std::thread([&] {
+        id_a = thread_id();
+        QsbrReadGuard g;
+        dom.retire(new int(0), counting_delete);
+    }).join();
+    // A exited announced; its exit left the record idle.
+    const std::uint64_t p0 = dom.current();
+    dom.collect();
+    ASSERT_EQ(dom.current(), p0 + 1) << "an exited thread held the period";
+
+    std::atomic<int> stage{0};
+    std::size_t id_b = 0;
+    std::thread b([&] {
+        id_b = thread_id();
+        { QsbrReadGuard g; }  // attaches: announced at the live period
+        EXPECT_EQ(dom.record().announced.load(), dom.current());
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+        dom.announce();  // B's quiescent point
+        stage.store(3, std::memory_order_release);
+    });
+    wait_for(stage, 1);
+    ASSERT_EQ(id_b, id_a);
+    const std::uint64_t p = dom.current();
+    for (int i = 0; i < 3; ++i) dom.collect();
+    EXPECT_EQ(dom.current(), p + 1) << "B does not hold back its own period";
+    stage.store(2, std::memory_order_release);
+    wait_for(stage, 3);
+    dom.collect();
+    EXPECT_EQ(dom.current(), p + 2);
+    b.join();
+    dom.drain();
+    dom.idle();
+}
+
+TEST(Epoch, RecycledIdStartsIdle) {
+    EpochDomain& dom = EpochDomain::global();
+    std::size_t id_a = 0;
+    std::thread([&] {
+        id_a = thread_id();
+        dom.announce();  // exits pinned: its exit must leave it idle
+        dom.retire(new int(0), counting_delete);
+    }).join();
+
+    std::atomic<int> stage{0};
+    std::size_t id_b = 0;
+    std::thread b([&] {
+        id_b = thread_id();
+        (void)dom.record();  // attaches, outside any guard
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+    });
+    wait_for(stage, 1);
+    ASSERT_EQ(id_b, id_a);
+    const std::uint64_t p = dom.current();
+    dom.collect();
+    dom.collect();
+    EXPECT_EQ(dom.current(), p + 2) << "an idle thread held the period";
+    stage.store(2, std::memory_order_release);
+    b.join();
+    dom.drain();
+}
+
+std::atomic<const void*> g_watched{nullptr};
+std::atomic<bool> g_watched_freed{false};
+
+void watching_delete(void* p) {
+    if (p == g_watched.load()) g_watched_freed.store(true);
+    delete static_cast<int*>(p);
+}
+
+TEST(HazardPointers, RecycledIdStartsWithNoGuardOpen) {
+    int* node = new int(7);
+    g_watched.store(node);
+    g_watched_freed.store(false);
+    std::atomic<int*> shared{node};
+    std::size_t id_a = 0;
+    std::thread([&] {
+        id_a = thread_id();
+        reclaim::hp::guard g;
+        int* p = g.protect<0>(shared);
+        shared.store(nullptr);
+        reclaim::hp::retire(p, watching_delete);  // below the threshold
+    }).join();
+
+    std::size_t id_b = 0;
+    std::thread([&] {
+        id_b = thread_id();
+        reclaim::hp::guard g;  // aborts if A's guard were still open
+        g.clear<0>();
+        HazardDomain::global().scan();
+    }).join();
+    ASSERT_EQ(id_b, id_a);
+    EXPECT_TRUE(g_watched_freed.load())
+        << "B's scan did not free A's unprotected node";
+    reclaim::hp::drain();
+}
+
+// ----------------------------------------------------- private domains
+//
+// A domain the program constructs is independent of global(): its
+// threads' records, exit hooks and nodes are its own.  Once destroyed,
+// the exit of a thread that used it must not touch it (ASan reports a
+// use after free if it does).
+
+template <typename Domain>
+void expect_private_domain_is_independent() {
+    constexpr std::size_t kPerThread = 100;
+    // Takes the calling thread into the domain, holding nothing.
+    const auto enter = [](Domain& d) {
+        if constexpr (std::is_same_v<Domain, HazardDomain>) {
+            (void)d.record();
+        } else {
+            d.idle();  // a QSBR thread registers online
+        }
+    };
+    auto dom = std::make_unique<Domain>();
+    const std::size_t hp0 = reclaim::hp::pending();
+    const std::size_t ebr0 = reclaim::ebr::pending();
+    const std::size_t qsbr0 = reclaim::qsbr::pending();
+    const std::uint64_t deleted0 = g_deleted.load();
+
+    std::atomic<int> stage{0};
+    std::thread late([&] {
+        enter(*dom);
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+    });
+    wait_for(stage, 1);
+    run_threads(2, [&](std::size_t) {
+        enter(*dom);
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+            dom->retire(new int(0), counting_delete);
+        }
+    });
+    dom->drain();
+    EXPECT_EQ(g_deleted.load() - deleted0, 2 * kPerThread);
+    EXPECT_EQ(dom->pending(), 0u);
+    EXPECT_EQ(reclaim::hp::pending(), hp0);
+    EXPECT_EQ(reclaim::ebr::pending(), ebr0);
+    EXPECT_EQ(reclaim::qsbr::pending(), qsbr0);
+
+    dom.reset();
+    stage.store(2, std::memory_order_release);
+    late.join();  // its exit must not reach the destroyed domain
+}
+
+TEST(HazardPointers, PrivateDomainIsIndependentOfTheGlobalOne) {
+    expect_private_domain_is_independent<HazardDomain>();
+}
+
+TEST(Epoch, PrivateDomainIsIndependentOfTheGlobalOne) {
+    expect_private_domain_is_independent<EpochDomain>();
+}
+
+TEST(Qsbr, PrivateDomainIsIndependentOfTheGlobalOne) {
+    expect_private_domain_is_independent<QsbrDomain>();
 }
 
 }  // namespace
