@@ -5,16 +5,18 @@
 // index): the same workload is run over each implementation in the family
 // at several thread counts, and items/sec is the reported series.
 //
-// Reading the output on this reproduction's hardware: the container has a
-// SINGLE CPU, so "threads" here means oversubscription, not parallelism —
-// see EXPERIMENTS.md for how that shifts (and sometimes inverts) the
-// book's curves and which qualitative claims survive.
+// Reading the output: the ladder's rungs above the host's CPU count
+// measure oversubscription, not parallelism.  EXPERIMENTS.md's figures
+// were taken on a single-CPU container, where every rung above 1 does;
+// it records how that shifts (and sometimes inverts) the book's curves
+// and which qualitative claims survive.
 //
 // Telemetry: when the library is built with TAMP_STATS=ON, every benchmark
 // that calls counters_begin()/counters_publish() reports the tamp::obs
 // counter deltas for its timing region as `tamp.*` user counters in the
 // google-benchmark output; tools/bench_report.py turns that into
-// BENCH_<family>.json and diffs runs (the perf-regression gate).
+// BENCH_<family>.json, and its --paired mode judges a change against its
+// base by runs of both builds on one host (the perf-regression gate).
 
 #pragma once
 
@@ -157,10 +159,13 @@ inline void quiesce(benchmark::State& state) {
     barrier.arrive_and_wait(state.threads(), [] {});
 }
 
-/// Publish the per-run counter deltas as `tamp.*` benchmark counters.
-/// Call after Shared<>::teardown (whose barrier guarantees every worker
-/// has left the timing loop, making the sweep exact).  With TAMP_STATS
-/// off the snapshot is empty and nothing is published.
+/// Publish the per-run counter deltas as `tamp.*` benchmark counters,
+/// zeros included, so a point's keys do not depend on whether a rare
+/// event fired in its run (a counter still appears only once something
+/// in the process has touched it).  Call after Shared<>::teardown (whose
+/// barrier guarantees every worker has left the timing loop, making the
+/// sweep exact).  With TAMP_STATS off the snapshot is empty and nothing
+/// is published.
 inline void counters_publish(benchmark::State& state) {
     if (state.thread_index() != 0) return;
     const auto& base = detail::counter_baseline();
@@ -172,10 +177,7 @@ inline void counters_publish(benchmark::State& state) {
         const std::uint64_t v = s.kind == tamp::obs::counter_kind::kMax
                                     ? s.value
                                     : s.value - before;
-        if (v != 0) {
-            state.counters[std::string("tamp.") + s.name] =
-                static_cast<double>(v);
-        }
+        state.counters[std::string("tamp.") + s.name] = static_cast<double>(v);
     }
 }
 
@@ -228,11 +230,11 @@ inline void latency_publish(benchmark::State& state,
     const tamp::obs::hist_percentiles p =
         tamp::obs::extract_percentiles(chosen);
     // Mark runs whose percentiles came from the benchmark's own declared
-    // op-latency timer: those are a stable series the regression gate may
-    // compare across runs.  Fallback-mode percentiles (largest mover —
-    // often an amortized maintenance path like a hazard scan, and not
-    // necessarily the *same* histogram in both runs) are attribution
-    // diagnostics, and bench_report.py reports but does not gate them.
+    // op-latency timer: those are one series in every run, so the paired
+    // gate (bench_report.py --paired) judges their p99.  Fallback-mode
+    // percentiles (largest mover — often an amortized maintenance path
+    // like a hazard scan, and not necessarily the *same* histogram in
+    // every run) are attribution diagnostics, reported but not judged.
     if (&chosen == &pref) state.counters["tamp.lat_primary"] = 1.0;
     state.counters["tamp.p50"] = static_cast<double>(p.p50);
     state.counters["tamp.p90"] = static_cast<double>(p.p90);

@@ -197,9 +197,29 @@ void GracePeriodDomain<P>::collect() {
 template <typename P>
 void GracePeriodDomain<P>::drain() {
     // A few advances age out all three local buckets and any orphans.
-    for (int i = 0; i < 4 && pending() > 0; ++i) {
-        if constexpr (P::kRegistersOnline) announce();
-        collect();
+    const auto attempts = [this] {
+        for (int i = 0; i < 4 && pending() > 0; ++i) {
+            if constexpr (P::kRegistersOnline) announce();
+            collect();
+        }
+    };
+    if constexpr (!P::kRegistersOnline) {
+        attempts();
+    } else {
+        // The caller leaves as it came: idle (and unattached, if it was,
+        // as the exit hook leaves a record, so that its next record()
+        // announces again) or announced, at the new period.
+        Record& rec = records_.local();
+        const bool attached = rec.attached;
+        const bool was_idle =
+            rec.announced.load(std::memory_order_relaxed) == kIdle;
+        attempts();
+        rec.attached = attached;
+        if (was_idle) {
+            idle(rec);
+        } else {
+            announce(rec);
+        }
     }
 }
 

@@ -198,7 +198,8 @@ class GracePeriodDomain {
     /// benchmarks.  Converges once no other thread holds the period back
     /// (EBR: none pinned; QSBR: every other thread idle, exited or
     /// announcing).  Under QSBR the caller announces between attempts,
-    /// so it must hold no references.
+    /// so it must hold no references, and returns as it came: idle
+    /// (unattached, if it was) or announced at the new period.
     void drain();
 
     /// Nodes retired and not yet freed (tests and benches).

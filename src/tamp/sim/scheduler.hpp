@@ -767,6 +767,14 @@ class Scheduler {
         for (;;) {
             pool_[tid].gate.acquire();  // spawn() hands over the token
             if (shutdown_) return;
+            // The worker outlives the body, and so would its tls_rng():
+            // reseed it from the exploration seed and the sim tid, so a
+            // body's draws are the same in every execution and on replay.
+            // Not from the execution index, which differs between
+            // executions that share a prefix.
+            tls_rng() = XorShift64(tamp::detail::mix64(
+                opts_.seed ^ (static_cast<std::uint64_t>(tid) + 1) *
+                                 0xD1B54A32D192ED03ull));
             try {
                 pool_[tid].body();
             } catch (const execution_aborted&) {

@@ -361,7 +361,9 @@ void expect_churn_backlog_bounded(std::size_t (*bound)()) {
     constexpr std::size_t kCheckEvery = 125;  // waves
     D::drain();
     if constexpr (std::is_same_v<D, reclaim::qsbr>) {
-        // drain() left this thread announced; it holds no references.
+        // drain() returns an announced caller announced, and an earlier
+        // test's retire() may have attached this thread; it holds no
+        // references, so it goes idle, or it would hold the period back.
         QsbrDomain::global().idle();
     }
     const std::size_t deleted0 = g_deleted.load(std::memory_order_relaxed);

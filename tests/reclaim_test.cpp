@@ -569,6 +569,51 @@ TEST(Qsbr, RecycledIdStartsAnnouncedAtTheLivePeriod) {
     dom.idle();
 }
 
+// drain() announces for its caller between attempts and hands it back as
+// it found it.  D is new to QSBR when it drains (a retire() of its own
+// would attach and announce it), so it leaves unattached and idle: while
+// it waits it holds back no grace period, and its next read section
+// announces again.
+TEST(Qsbr, DrainLeavesANewCallerUnattachedAndIdle) {
+    QsbrDomain& dom = QsbrDomain::global();
+    const int before = Tracked::live.load();
+    reclaim::qsbr::retire(new Tracked(1));  // something for D to drain
+    std::atomic<int> stage{0};
+    std::thread d([&] {
+        reclaim::qsbr::drain();
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+        QsbrReadGuard g;
+        EXPECT_EQ(dom.record().announced.load(), dom.current())
+            << "D's read section did not announce";
+    });
+    wait_for(stage, 1);
+    reclaim::qsbr::retire(new Tracked(2));
+    reclaim::qsbr::drain();
+    EXPECT_EQ(reclaim::qsbr::pending(), 0u)
+        << "D, waiting after its drain(), held the period back";
+    EXPECT_EQ(Tracked::live.load(), before);
+    stage.store(2, std::memory_order_release);
+    d.join();
+}
+
+TEST(Qsbr, DrainLeavesAnIdleCallerIdleAndAnAnnouncedOneAnnounced) {
+    QsbrDomain& dom = QsbrDomain::global();
+    dom.idle();  // this thread holds no references
+    const int before = Tracked::live.load();
+    std::thread([&] {
+        dom.announce();
+        reclaim::qsbr::retire(new Tracked(1));
+        dom.drain();
+        EXPECT_EQ(dom.record().announced.load(), dom.current());
+        dom.idle();
+        reclaim::qsbr::retire(new Tracked(2));
+        dom.drain();
+        EXPECT_EQ(dom.record().announced.load(), QsbrDomain::kIdle);
+    }).join();
+    EXPECT_EQ(Tracked::live.load(), before);
+}
+
 TEST(Epoch, RecycledIdStartsIdle) {
     EpochDomain& dom = EpochDomain::global();
     std::size_t id_a = 0;

@@ -26,11 +26,13 @@ TEST(Sim, RequiresTampSimBuild) {
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "tamp/check/recorder.hpp"
 #include "tamp/check/specs.hpp"
+#include "tamp/core/random.hpp"
 #include "tamp/hash/split_ordered.hpp"
 #include "tamp/kv/split_ordered_map.hpp"
 #include "tamp/mutex/peterson.hpp"
@@ -299,6 +301,42 @@ TEST(SimReplay, RandomStrategyFailureReplaysFromSeed) {
     EXPECT_EQ(again.trace, first.trace);
 }
 
+// Sim threads run on persistent workers, so a body that draws from
+// tls_rng() (skiplist levels, elimination slots, steal victims) would
+// draw differently in every execution unless the worker reseeds it.
+TEST(SimReplay, TlsRngDrawsRepeatInEveryExecutionAndOnReplay) {
+    std::set<std::uint64_t> draws;
+    std::uint64_t last = 0;
+    const auto body = [&] {
+        MessageBox b;
+        sim::thread w([&] {
+            last = tamp::tls_rng().next();
+            draws.insert(last);
+            b.data.store(1, std::memory_order_relaxed);
+            b.flag.store(1, std::memory_order_relaxed);
+        });
+        sim::thread r([&] {
+            if (b.flag.load(std::memory_order_relaxed) == 1) {
+                sim::assert_always(b.data.load(std::memory_order_relaxed) == 1,
+                                   "flag observed but data still stale");
+            }
+        });
+        w.join();
+        r.join();
+    };
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto first = sim::explore(opts, body);
+    ASSERT_FALSE(first.ok);
+    ASSERT_GE(first.executions, 2);
+    ASSERT_EQ(draws.size(), 1u) << "the first draw differs between executions";
+
+    const auto again = sim::replay(opts, first, body);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.trace, first.trace);
+    EXPECT_EQ(last, *draws.begin()) << "the replay drew another value";
+}
+
 // ---------------------------------------------------------------------------
 // Ordering oracle
 // ---------------------------------------------------------------------------
@@ -362,41 +400,43 @@ TEST(SimOracle, SeparatesLoadBearingFromRelaxableOrders) {
 // (0, then 1 once the reclaimer swings it), `slot` is the reader's
 // published hazard (-1 = empty).
 
+void hazard_protect_scan_body() {
+    tamp::atomic<int> src{0};    // which node the structure points at
+    tamp::atomic<int> slot{-1};  // the reader's published hazard
+    tamp::atomic<int> freed0{0};
+    int reader_holds = -1;
+
+    sim::thread reader([&] {
+        // reclaim::hp::guard::protect, fallback flavor.
+        int p = src.load(std::memory_order_acquire);
+        while (true) {
+            slot.store(p, std::memory_order_seq_cst);
+            const int again = src.load(std::memory_order_seq_cst);
+            if (again == p) break;
+            p = again;
+        }
+        reader_holds = p;
+    });
+    sim::thread reclaimer([&] {
+        // Unlink node 0 (making node 1 current), retire it, scan: the
+        // node is freed only if no published slot names it.
+        src.store(1, std::memory_order_seq_cst);
+        if (slot.load(std::memory_order_seq_cst) != 0) {
+            freed0.store(1, std::memory_order_relaxed);
+        }
+    });
+    reader.join();
+    reclaimer.join();
+    // The free can be scheduled after the reader's last step, so the
+    // invariant is an end-state property, not an in-thread assert.
+    sim::assert_always(
+        !(reader_holds == 0 && freed0.load(std::memory_order_relaxed) == 1),
+        "scan freed a node the reader had protected");
+}
+
 TEST(SimReclaim, HazardProtectScanNeverFreesProtectedNode) {
     sim::ExploreOptions opts;
-    auto res = sim::explore(opts, [] {
-        tamp::atomic<int> src{0};    // which node the structure points at
-        tamp::atomic<int> slot{-1};  // the reader's published hazard
-        tamp::atomic<int> freed0{0};
-        int reader_holds = -1;
-
-        sim::thread reader([&] {
-            // reclaim::hp::guard::protect, fallback flavor.
-            int p = src.load(std::memory_order_acquire);
-            while (true) {
-                slot.store(p, std::memory_order_seq_cst);
-                const int again = src.load(std::memory_order_seq_cst);
-                if (again == p) break;
-                p = again;
-            }
-            reader_holds = p;
-        });
-        sim::thread reclaimer([&] {
-            // Unlink node 0 (making node 1 current), retire it, scan: the
-            // node is freed only if no published slot names it.
-            src.store(1, std::memory_order_seq_cst);
-            if (slot.load(std::memory_order_seq_cst) != 0) {
-                freed0.store(1, std::memory_order_relaxed);
-            }
-        });
-        reader.join();
-        reclaimer.join();
-        // The free can be scheduled after the reader's last step, so the
-        // invariant is an end-state property, not an in-thread assert.
-        sim::assert_always(!(reader_holds == 0 &&
-                             freed0.load(std::memory_order_relaxed) == 1),
-                           "scan freed a node the reader had protected");
-    });
+    const auto res = sim::explore(opts, hazard_protect_scan_body);
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_TRUE(res.exhausted);
     EXPECT_GT(res.executions, 1);
@@ -420,49 +460,49 @@ TEST(SimReclaim, HazardProtectScanNeverFreesProtectedNode) {
 // a QSBR record's constructor does), and the reader reports twice: the op
 // boundary after the deref, then the next one.
 
+void qsbr_grace_period_body() {
+    tamp::atomic<int> src{0};  // which node the structure points at
+    tamp::atomic<std::uint32_t> interval{0};  // QsbrDomain interval
+    tamp::atomic<std::uint32_t> seen{0};      // reader's `announced`
+    tamp::atomic<int> freed0{0};
+
+    sim::thread reader([&] {
+        const int p = src.load(std::memory_order_seq_cst);
+        // Last point the reader may dereference its pointer: the op ends
+        // here, *before* the quiescence report below.
+        sim::assert_always(
+            !(p == 0 && freed0.load(std::memory_order_relaxed) == 1),
+            "node freed inside the reader's read-side section");
+        seen.store(interval.load(std::memory_order_acquire),
+                   std::memory_order_seq_cst);  // quiescent(): op done
+        seen.store(interval.load(std::memory_order_acquire),
+                   std::memory_order_seq_cst);  // next op boundary
+    });
+    sim::thread reclaimer([&] {
+        // Unlink node 0, retire it tagged with the current interval, then
+        // run bounded collects: straggler check, advance, free once the
+        // tag is two intervals stale.
+        src.store(1, std::memory_order_seq_cst);
+        const std::uint32_t tag = interval.load(std::memory_order_seq_cst);
+        for (int round = 0; round < 3; ++round) {
+            const std::uint32_t i = interval.load(std::memory_order_seq_cst);
+            if (seen.load(std::memory_order_seq_cst) < i) {
+                continue;  // straggler: no advance this round
+            }
+            interval.store(i + 1, std::memory_order_seq_cst);
+            if (tag + 2 <= i + 1) {
+                freed0.store(1, std::memory_order_relaxed);
+                break;
+            }
+        }
+    });
+    reader.join();
+    reclaimer.join();
+}
+
 TEST(SimQsbr, GracePeriodNeverFreesNodeBeforeReaderQuiesces) {
     sim::ExploreOptions opts;
-    auto res = sim::explore(opts, [] {
-        tamp::atomic<int> src{0};  // which node the structure points at
-        tamp::atomic<std::uint32_t> interval{0};  // QsbrDomain interval
-        tamp::atomic<std::uint32_t> seen{0};      // reader's `announced`
-        tamp::atomic<int> freed0{0};
-
-        sim::thread reader([&] {
-            const int p = src.load(std::memory_order_seq_cst);
-            // Last point the reader may dereference its pointer: the op
-            // ends here, *before* the quiescence report below.
-            sim::assert_always(
-                !(p == 0 && freed0.load(std::memory_order_relaxed) == 1),
-                "node freed inside the reader's read-side section");
-            seen.store(interval.load(std::memory_order_acquire),
-                       std::memory_order_seq_cst);  // quiescent(): op done
-            seen.store(interval.load(std::memory_order_acquire),
-                       std::memory_order_seq_cst);  // next op boundary
-        });
-        sim::thread reclaimer([&] {
-            // Unlink node 0, retire it tagged with the current interval,
-            // then run bounded collects: straggler check, advance, free
-            // once the tag is two intervals stale.
-            src.store(1, std::memory_order_seq_cst);
-            const std::uint32_t tag =
-                interval.load(std::memory_order_seq_cst);
-            for (int round = 0; round < 3; ++round) {
-                const std::uint32_t i =
-                    interval.load(std::memory_order_seq_cst);
-                if (seen.load(std::memory_order_seq_cst) < i) {
-                    continue;  // straggler: no advance this round
-                }
-                interval.store(i + 1, std::memory_order_seq_cst);
-                if (tag + 2 <= i + 1) {
-                    freed0.store(1, std::memory_order_relaxed);
-                    break;
-                }
-            }
-        });
-        reader.join();
-        reclaimer.join();
-    });
+    const auto res = sim::explore(opts, qsbr_grace_period_body);
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_TRUE(res.exhausted);
     EXPECT_GT(res.executions, 1);
@@ -873,80 +913,10 @@ std::vector<EquivCase> equivalence_cases() {
                          b.join();
                      },
                      true, 742, 8, 0});
-    cases.push_back({"hazard_protect_scan", [] {
-                         tamp::atomic<int> src{0};
-                         tamp::atomic<int> slot{-1};
-                         tamp::atomic<int> freed0{0};
-                         int reader_holds = -1;
-                         sim::thread reader([&] {
-                             int p = src.load(std::memory_order_acquire);
-                             while (true) {
-                                 slot.store(p, std::memory_order_seq_cst);
-                                 const int again =
-                                     src.load(std::memory_order_seq_cst);
-                                 if (again == p) break;
-                                 p = again;
-                             }
-                             reader_holds = p;
-                         });
-                         sim::thread reclaimer([&] {
-                             src.store(1, std::memory_order_seq_cst);
-                             if (slot.load(std::memory_order_seq_cst) != 0) {
-                                 freed0.store(1, std::memory_order_relaxed);
-                             }
-                         });
-                         reader.join();
-                         reclaimer.join();
-                         sim::assert_always(
-                             !(reader_holds == 0 &&
-                               freed0.load(std::memory_order_relaxed) == 1),
-                             "scan freed a node the reader had protected");
-                     },
-                     true, 42, 18, 0});
-    cases.push_back({"qsbr_grace_period", [] {
-                         tamp::atomic<int> src{0};
-                         tamp::atomic<std::uint32_t> interval{0};
-                         tamp::atomic<std::uint32_t> seen{0};
-                         tamp::atomic<int> freed0{0};
-                         sim::thread reader([&] {
-                             const int p =
-                                 src.load(std::memory_order_seq_cst);
-                             sim::assert_always(
-                                 !(p == 0 &&
-                                   freed0.load(std::memory_order_relaxed) ==
-                                       1),
-                                 "node freed inside the read-side section");
-                             seen.store(
-                                 interval.load(std::memory_order_acquire),
-                                 std::memory_order_seq_cst);
-                             seen.store(
-                                 interval.load(std::memory_order_acquire),
-                                 std::memory_order_seq_cst);
-                         });
-                         sim::thread reclaimer([&] {
-                             src.store(1, std::memory_order_seq_cst);
-                             const std::uint32_t tag =
-                                 interval.load(std::memory_order_seq_cst);
-                             for (int round = 0; round < 3; ++round) {
-                                 const std::uint32_t i = interval.load(
-                                     std::memory_order_seq_cst);
-                                 if (seen.load(std::memory_order_seq_cst) <
-                                     i) {
-                                     continue;
-                                 }
-                                 interval.store(i + 1,
-                                                std::memory_order_seq_cst);
-                                 if (tag + 2 <= i + 1) {
-                                     freed0.store(
-                                         1, std::memory_order_relaxed);
-                                     break;
-                                 }
-                             }
-                         });
-                         reader.join();
-                         reclaimer.join();
-                     },
-                     true, 6003, 584, 0});
+    cases.push_back(
+        {"hazard_protect_scan", hazard_protect_scan_body, true, 42, 18, 0});
+    cases.push_back(
+        {"qsbr_grace_period", qsbr_grace_period_body, true, 6003, 584, 0});
     cases.push_back(
         {"ebr_grace_period", ebr_grace_period_body, true, 1610, 314, 0});
     cases.push_back({"ebr_shared_grace_period", ebr_shared_grace_period_body,
@@ -1034,34 +1004,19 @@ TEST(SimDpor, MatchesBruteForceVerdictsWithFewerSchedules) {
 // tamp::kv — lazy bucket init: sentinels are linked before published
 // ---------------------------------------------------------------------------
 
-// Reclamation stub for the exploration: the pure-insert workload below
-// never retires a node, so the substrate only has to satisfy the
-// concept without adding shared steps of its own (ebr's epoch counters
-// would multiply the schedule space without touching the property).
-struct NullReclaim {
-    static constexpr bool kProtects = false;
-    struct guard {
-        guard() = default;
-        guard(const guard&) = delete;
-        guard& operator=(const guard&) = delete;
-    };
-    static void retire(void* p, void (*del)(void*)) { del(p); }
-    template <typename T>
-    static void retire(T* p) { delete p; }
-    static void quiescent() {}
-    static std::size_t pending() { return 0; }
-    static void drain() {}
-    static const char* name() { return "null"; }
-};
-
 // Identity hashing pins keys to known buckets so the schedule space is
 // exactly the publish protocol, not the hash mixer.
 struct IdentityKeyOf {
     std::uint64_t operator()(std::uint64_t k) const { return k; }
 };
 
+using tamp_test::ParkingReclaim;
+
+// The workloads below only insert, so they retire nothing: the parking
+// domain adds no shared steps of its own (ebr's epoch counters would
+// multiply the schedule space without touching the property).
 using SimKvMap = tamp::kv::SplitOrderedMap<std::uint64_t, std::uint64_t,
-                                           IdentityKeyOf, NullReclaim>;
+                                           IdentityKeyOf, ParkingReclaim>;
 
 // The protocol under proof (split_ordered_map.hpp, get_bucket): a
 // lazily-installed sentinel is linked into its parent's chain *before*
@@ -1134,11 +1089,9 @@ TEST(SimKv, MapWithScansLinearizesUnderExploration) {
 // tamp::SplitOrderedHashSet — the set face of the same table
 // ---------------------------------------------------------------------------
 
-// NullReclaim's twin for workloads that remove: a snip retires a node that
-// the racing thread may still be traversing, so retired nodes are parked
-// until the body has joined both threads instead of freed on the spot.
-using tamp_test::ParkingReclaim;
-
+// This workload removes: a snip retires a node that the racing thread may
+// still be traversing, so retired nodes stay parked until the body has
+// joined both threads.
 using SimSet = tamp::SplitOrderedHashSet<std::uint64_t, IdentityKeyOf,
                                          ParkingReclaim>;
 

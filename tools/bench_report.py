@@ -1,70 +1,53 @@
 #!/usr/bin/env python3
 """Benchmark telemetry pipeline for the tamp harness.
 
-Runs one benchmark family (a ``bench_<family>`` binary built with the
-``stats`` preset so the tamp::obs counters are compiled in), merges the
-counter-annotated google-benchmark JSON into a schema-stable report, and
-diffs two such reports for throughput regressions.
+Runs benchmark families (``bench_<family>`` binaries built with the
+``stats`` preset, so the tamp::obs counters are compiled in) and merges
+each family's counter-annotated google-benchmark JSON into a
+schema-stable report, ``BENCH_<family>.json``:
 
-Produce a report:
+    python3 tools/bench_report.py --families locks,reclaim,lists,hash,kv \
+        --build-dir build-stats --out-dir .
 
-    python3 tools/bench_report.py --family locks --build-dir build-stats \
-        --out BENCH_locks.json
+Gate a change against its base (what CI's bench-smoke job runs, with the
+base commit built beside the change):
 
-Gate a change:
+    python3 tools/bench_report.py --families locks,reclaim,lists,hash,kv \
+        --build-dir build-stats --paired ../base/build-stats \
+        --min-time 0.05 --out-dir ci-bench --raw-out-dir ci-bench
 
-    python3 tools/bench_report.py --diff BENCH_locks.main.json BENCH_locks.json
+--paired runs each family binary of the base build and of --build-dir
+PAIRS times each, alternately, on one host: the side that runs first
+alternates from pair to pair, and each run is one repetition at
+--min-time.  Each (series, threads) point is judged by
+benchmark/compare.py's verdict() at BOUND, the bound BENCHMARK.json sets
+for throughput and p99: on items/s always, and on tamp.p99 where every
+run of the point set tamp.lat_primary (its percentiles came from the
+benchmark's own op-latency timer, not from whichever histogram moved
+most).  A series is one benchmark function, and its points are its runs
+at every argument and thread count (BM_HeavyBarrier/0..3 are the four
+points of one series).  A series fails on a metric when a strict
+majority of its judged points read "regressed" and none reads
+"improved"; the mode exits 1 if and only if a series fails.  A point
+that only one side ran is listed, not judged.  Each family prints its
+count of points per verdict, and the quartiles of every point of a
+failing series.  Each side's reports land in OUT_DIR/base and
+OUT_DIR/change (RAW_OUT_DIR likewise).
 
-Batch over several families (what CI's bench-smoke job uses), producing
-one report per family and then diffing each against its committed
-baseline:
-
-    python3 tools/bench_report.py --families locks,reclaim,lists \
-        --quick --build-dir build-stats --out-dir ci-bench
-    python3 tools/bench_report.py --families locks,reclaim,lists \
-        --diff-dirs . ci-bench --warn-pct 15 --fail-pct 40
-
-In --diff-dirs mode a family with no baseline report in OLD_DIR is
-announced and skipped, never an error — so a newly wired family diffs
-cleanly before its baseline lands, the same schema-growth tolerance the
-per-metric diff applies to new counters.  A family missing from NEW_DIR
-is an error: the matching run was asked for and did not happen.
-
-The diff compares items/sec per (series, threads) point: a drop of more
-than --warn-pct (default 10%) warns, more than --fail-pct (default 25%)
-fails the run with exit status 1.  Tail-latency percentiles (the
-``tamp.p50``/``tamp.p90``/``tamp.p99``/``tamp.p999`` counters emitted by
-latency_begin()/latency_publish() in bench_util.hpp) gate with their own,
-looser thresholds — an *increase* beyond --ptile-warn-pct (default 25%)
-warns and beyond --ptile-fail-pct (default 50%) fails — because tails on
-a shared runner are noisier than means.  All other counter columns are
-reported for context but never gate — they are diagnostic, not
-pass/fail.  A metric present only in the new report is announced as a
-new metric, never an error, so reports produced by newer harnesses diff
-cleanly against older baselines.
-
-Three noise guards keep the gate honest on timesliced hardware (a
-single-CPU container or a shared CI runner, where a scheduler quantum
-landing inside the timing loop moves single points by integer factors):
-
-* ``--repetitions N`` (default 3 with --quick) runs each benchmark N
-  times and keeps the median-throughput repetition per point, so one
-  descheduled repetition cannot define the report.
-* Percentile increases smaller than an absolute per-key floor (1us for
-  p50/p90, 2us for p99, 10us for p999) never gate: sub-quantum tail
-  movement on a timesliced box is scheduling noise, not signal, and the
-  deeper the tail the larger the quantum it can jump by.
-* A FAIL on a *single* point of a series (throughput or percentile)
-  downgrades to a warning; a real regression introduced by a code change
-  moves the series, an isolated outlier is the scheduler's doing.
-* Percentiles gate only where the benchmark declared its own op-latency
-  timer (``tamp.lat_primary``, set by latency_publish() when the
-  preferred histogram recorded): fallback-mode percentiles attribute the
-  run's dominant latency source, which may be a different histogram in
-  the two runs being compared — reported, never gated.
+The constants come from A/A campaigns: one stats build on both sides,
+4-vCPU host, the five CI families at --min-time 0.05 (208 points, 72 of
+them with a judged p99, in 52 series; a campaign takes about 5 min).
+In each of five campaigns at PAIRS = 5, between 1 and 7 items/s points
+and between 4 and 7 p99 points read "regressed", so a per-point gate
+would have failed all five; no series failed.  One-point series failed
+two of six campaigns when BM_HeavyBarrier/N were four series, hence the
+grouping by function.  A scratch copy whose TTASLock acquires 1.5 times
+per lock() (20-38% slower per point) failed BM_TTASLock.  PAIRS = 5
+roughly doubles the CI job's time.
 
 Report schema (``schema_version`` 1); series and points are sorted so
-reports diff cleanly under plain ``diff``:
+reports diff cleanly under plain ``diff``.  A report keeps, per point,
+the run whose items/s is the median of its runs:
 
     {
       "schema_version": 1,
@@ -82,22 +65,31 @@ reports diff cleanly under plain ``diff``:
         ...
       ]
     }
+
+raw_<family>.json holds the list of the side's google-benchmark outputs,
+one per run, in run order.
 """
 
 import argparse
+import collections
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-# Kept small on purpose: --quick is the CI smoke setting.  NOTE: the
-# benchmark library in this toolchain (1.7.x) takes a bare double for
-# --benchmark_min_time, not a "0.2s" duration string.
+# NOTE: the benchmark library in this toolchain (1.7.x) takes a bare
+# double for --benchmark_min_time, not a "0.2s" duration string.
 DEFAULT_MIN_TIME = 0.2
-QUICK_MIN_TIME = 0.05
+
+PAIRS = 5
+BOUND = 0.24
+
+VERDICTS = ("unchanged", "unresolved", "improved", "regressed")
 
 _THREADS_RE = re.compile(r"/threads:(\d+)$")
 
@@ -105,6 +97,15 @@ _THREADS_RE = re.compile(r"/threads:(\d+)$")
 def fail(msg):
     print(f"bench_report: error: {msg}", file=sys.stderr)
     sys.exit(2)
+
+
+def load_compare():
+    """benchmark/compare.py, imported by path (benchmark/ is no package)."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "compare.py"
+    spec = importlib.util.spec_from_file_location("compare", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def split_name(raw_name):
@@ -118,7 +119,7 @@ def split_name(raw_name):
     return "/".join(parts), threads
 
 
-def run_family(family, build_dir, min_time, bench_filter, repetitions=1):
+def run_family(family, build_dir, min_time, bench_filter):
     binary = os.path.join(build_dir, "bench", f"bench_{family}")
     if not os.path.exists(binary):
         fail(
@@ -130,8 +131,6 @@ def run_family(family, build_dir, min_time, bench_filter, repetitions=1):
         f"--benchmark_min_time={min_time}",
         "--benchmark_format=json",
     ]
-    if repetitions > 1:
-        cmd.append(f"--benchmark_repetitions={repetitions}")
     if bench_filter:
         cmd.append(f"--benchmark_filter={bench_filter}")
     print(f"bench_report: running {' '.join(cmd)}", file=sys.stderr)
@@ -139,52 +138,61 @@ def run_family(family, build_dir, min_time, bench_filter, repetitions=1):
     if proc.returncode != 0:
         fail(f"{binary} exited with status {proc.returncode}")
     try:
-        return json.loads(proc.stdout)
+        raw = json.loads(proc.stdout)
     except json.JSONDecodeError as e:
         fail(f"benchmark output is not valid JSON: {e}")
-
-
-def median_rep(points):
-    """Of one point's repetitions, keep the whole row whose items/sec is
-    the median — percentiles and counters stay internally consistent
-    (they describe one actual run, not a mix)."""
-    ranked = sorted(points, key=lambda p: p["items_per_sec"] or 0.0)
-    return ranked[len(ranked) // 2]
-
-
-def build_report(family, raw):
     if not isinstance(raw, dict):
         fail(f"benchmark output: top level is {type(raw).__name__}, "
              f"expected an object")
-    reps = {}
+    return raw
+
+
+def points(raw):
+    """{(series, threads): point} of one run's google-benchmark output."""
+    out = {}
     for entry in raw.get("benchmarks", []):
         if not isinstance(entry, dict) or not isinstance(
                 entry.get("name"), str):
             fail("benchmark output: 'benchmarks' entry without a string "
                  "'name' (truncated run?)")
-        if entry.get("run_type") == "aggregate":
-            continue
         name, threads = split_name(entry["name"])
-        counters = {
-            k: v
-            for k, v in entry.items()
-            if k.startswith("tamp.") and isinstance(v, (int, float))
-        }
-        point = {
+        out[(name, threads)] = {
             "threads": threads,
             "items_per_sec": entry.get("items_per_second"),
             "real_time_ns": entry.get("real_time")
             if entry.get("time_unit") == "ns"
             else None,
-            "counters": counters,
+            "counters": {
+                k: v
+                for k, v in entry.items()
+                if k.startswith("tamp.") and isinstance(v, (int, float))
+            },
         }
-        reps.setdefault((name, threads), []).append(point)
+    return out
 
+
+def by_point(raws):
+    """{(series, threads): [point of each run that has it]}."""
+    runs = {}
+    for raw in raws:
+        for key, p in points(raw).items():
+            runs.setdefault(key, []).append(p)
+    return runs
+
+
+def median_rep(runs):
+    """Of one point's runs, keep the whole row whose items/sec is the
+    median — percentiles and counters stay internally consistent (they
+    describe one actual run, not a mix)."""
+    ranked = sorted(runs, key=lambda p: p["items_per_sec"] or 0.0)
+    return ranked[len(ranked) // 2]
+
+
+def build_report(family, raws):
     series = {}
-    for (name, _), points in reps.items():
-        series.setdefault(name, []).append(median_rep(points))
-
-    ctx = raw.get("context", {})
+    for (name, _), runs in by_point(raws).items():
+        series.setdefault(name, []).append(median_rep(runs))
+    ctx = raws[0].get("context", {})
     context = {
         k: ctx.get(k)
         for k in ("date", "host_name", "num_cpus", "mhz_per_cpu",
@@ -194,7 +202,6 @@ def build_report(family, raw):
     context["stats_compiled_in"] = any(
         p["counters"] for pts in series.values() for p in pts
     )
-
     return {
         "schema_version": SCHEMA_VERSION,
         "family": family,
@@ -206,389 +213,139 @@ def build_report(family, raw):
     }
 
 
-def validate_report(path, report):
-    """Shape-check a parsed report so a truncated or hand-mangled file
-    dies with one diagnostic line instead of a traceback deep inside the
-    diff.  Returns the report on success, fail()s otherwise."""
-    if not isinstance(report, dict):
-        fail(f"{path}: top level is {type(report).__name__}, expected an "
-             f"object")
-    if report.get("schema_version") != SCHEMA_VERSION:
-        fail(
-            f"{path}: schema_version {report.get('schema_version')!r} "
-            f"!= {SCHEMA_VERSION}"
-        )
-    if not isinstance(report.get("family"), str):
-        fail(f"{path}: missing or non-string 'family'")
-    series = report.get("series")
-    if not isinstance(series, list):
-        fail(f"{path}: missing or non-list 'series'")
-    for i, s in enumerate(series):
-        where = f"{path}: series[{i}]"
-        if not isinstance(s, dict) or not isinstance(s.get("name"), str):
-            fail(f"{where}: expected an object with a string 'name'")
-        points = s.get("points")
-        if not isinstance(points, list):
-            fail(f"{where} ({s['name']}): missing or non-list 'points'")
-        for j, p in enumerate(points):
-            pwhere = f"{where} ({s['name']}) point[{j}]"
-            if not isinstance(p, dict):
-                fail(f"{pwhere}: expected an object")
-            if not isinstance(p.get("threads"), int):
-                fail(f"{pwhere}: missing or non-integer 'threads'")
-            if not isinstance(p.get("items_per_sec"), (int, float,
-                                                       type(None))):
-                fail(f"{pwhere}: non-numeric 'items_per_sec'")
-            if not isinstance(p.get("counters", {}), dict):
-                fail(f"{pwhere}: non-object 'counters'")
-    return report
+def write_json(path, doc):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
-def load_report(path):
-    try:
-        with open(path) as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot read report {path}: {e}")
-    return validate_report(path, report)
-
-
-def index_points(report):
-    out = {}
-    for s in report["series"]:
-        for p in s["points"]:
-            out[(s["name"], p["threads"])] = p
-    return out
-
-
-# Latency percentile counters gate with their own (looser) thresholds;
-# everything else under counters{} is diagnostic only.  tamp.pmax and
-# tamp.lat_samples are deliberately absent: max is a single sample and
-# sample counts track iteration counts, neither is a stable gate.
-PERCENTILE_KEYS = ("tamp.p50", "tamp.p90", "tamp.p99", "tamp.p999")
-
-# Absolute noise floor per percentile: increases smaller than this never
-# gate.  On a timesliced CPU a tail bucket shifting by a few hundred ns is
-# a scheduler-quantum artifact (the histogram's own resolution at those
-# magnitudes is ~6%, and one preempted iteration lands in a bucket
-# *milliseconds* away).  The floor grows with tail depth: p999 ranks
-# ~1-in-1000 ops, which is the order of the preemption frequency itself on
-# an oversubscribed host, so a p999 below preemption scale (~10us) is
-# bistable — it measures the scheduler, not the structure — and only
-# movement beyond that scale is signal.
-PTILE_NOISE_FLOOR_NS = {
-    "tamp.p50": 1000.0,
-    "tamp.p90": 1000.0,
-    "tamp.p99": 2000.0,
-    "tamp.p999": 10000.0,
-}
-
-
-def diff_percentiles(old_point, new_point, warn_pct, fail_pct,
-                     indent="    "):
-    """Gate the tail-latency percentiles of one point.  Latency gates are
-    one-sided: only increases regress.  Returns (failed, warned) key
-    lists; prints one line per gated key that warrants attention.
-
-    Only points whose percentiles came from the benchmark's *declared*
-    op-latency timer on both sides (``tamp.lat_primary`` present) gate:
-    fallback-mode percentiles describe whichever histogram happened to
-    move most — frequently an amortized maintenance path, and not
-    necessarily the same one in both runs — so comparing them
-    run-over-run compares different distributions."""
-    oc = old_point.get("counters") or {}
-    nc = new_point.get("counters") or {}
-    gated = oc.get("tamp.lat_primary") and nc.get("tamp.lat_primary")
-    failed, warned = [], []
-    for key in PERCENTILE_KEYS:
-        o, n = oc.get(key), nc.get(key)
-        if o is None and n is None:
-            continue
-        if o is None:
-            print(f"{indent}{key}: new metric -> {n:.4g} ns (no baseline)")
-            continue
-        if n is None:
-            print(f"{indent}{key}: {o:.4g} ns -> dropped metric")
-            continue
-        if not o or not gated:
-            continue
-        if n - o < PTILE_NOISE_FLOOR_NS[key]:
-            continue
-        delta_pct = (n - o) / o * 100.0
-        tag = ""
-        if delta_pct > fail_pct:
-            tag = "FAIL"
-            failed.append(key)
-        elif delta_pct > warn_pct:
-            tag = "warn"
-            warned.append(key)
-        if tag:
-            print(f"{indent}{key}: {o:.4g} -> {n:.4g} ns "
-                  f"({delta_pct:+.1f}%) {tag}")
-    return failed, warned
-
-
-def print_counter_deltas(old_point, new_point, indent="    "):
-    """Per-point tamp.* counter deltas (present when the run was made
-    against a TAMP_STATS build): the why behind a throughput delta —
-    e.g. a regressed lock shows its spin_iters/backoff_units exploding
-    before items/s says anything."""
-    oc = old_point.get("counters") or {}
-    nc = new_point.get("counters") or {}
-    for key in sorted(set(oc) | set(nc)):
-        o, n = oc.get(key), nc.get(key)
-        if o is None:
-            print(f"{indent}{key}: new metric -> {n}")
-        elif n is None:
-            print(f"{indent}{key}: {o} -> dropped metric")
-        elif o:
-            print(f"{indent}{key}: {o:.4g} -> {n:.4g} "
-                  f"({(n - o) / o * 100.0:+.1f}%)")
-        elif n:
-            print(f"{indent}{key}: 0 -> {n:.4g}")
-
-
-def diff_reports(old_path, new_path, warn_pct, fail_pct,
-                 ptile_warn_pct, ptile_fail_pct, show_counters=False):
-    old, new = load_report(old_path), load_report(new_path)
-    if old["family"] != new["family"]:
-        fail(f"family mismatch: {old['family']} vs {new['family']}")
-    old_pts, new_pts = index_points(old), index_points(new)
-
-    worst = 0.0
-    failures, warnings = [], []
-    lat_failures, lat_warnings = [], []
-    for key in sorted(old_pts):
-        if key not in new_pts:
-            warnings.append(f"{key[0]}/threads:{key[1]}: missing from new run")
-            continue
-        o, n = old_pts[key]["items_per_sec"], new_pts[key]["items_per_sec"]
-        if not o or n is None:
-            continue
-        delta_pct = (n - o) / o * 100.0
-        tag = ""
-        if delta_pct < -fail_pct:
-            tag = "FAIL"
-            failures.append(key)
-        elif delta_pct < -warn_pct:
-            tag = "warn"
-            warnings.append(f"{key[0]}/threads:{key[1]}: {delta_pct:+.1f}%")
-        worst = min(worst, delta_pct)
-        print(
-            f"{key[0]}/threads:{key[1]}: {o:.3g} -> {n:.3g} items/s "
-            f"({delta_pct:+.1f}%) {tag}".rstrip()
-        )
-        # Tail-latency gates ride on the same point.
-        pf, pw = diff_percentiles(old_pts[key], new_pts[key],
-                                  ptile_warn_pct, ptile_fail_pct)
-        lat_failures.extend((key, k) for k in pf)
-        lat_warnings.extend((key, k) for k in pw)
-        # Counters ride along: always for regressed points (they are the
-        # first diagnostic to read), for every point with --show-counters.
-        if show_counters or tag or pf or pw:
-            print_counter_deltas(old_pts[key], new_pts[key])
-    for key in sorted(set(new_pts) - set(old_pts)):
-        print(f"{key[0]}/threads:{key[1]}: new point (no baseline)")
-
-    # Series-level rule: one failing point in a series is an outlier
-    # (scheduler quantum, bimodal convoy/hand-off flip) and downgrades to
-    # a warning; two or more points moving together is a regression.
-    def downgrade_singletons(fails, describe):
-        by_series = {}
-        for item in fails:
-            by_series.setdefault(item[0][0], set()).add(item[0][1])
-        kept = []
-        for item in fails:
-            name = item[0][0]
-            if len(by_series[name]) == 1:
-                warnings.append(
-                    f"{describe(item)}: isolated single-point FAIL "
-                    f"downgraded to warning"
-                )
-            else:
-                kept.append(item)
-        return kept
-
-    failures = downgrade_singletons(
-        [(k,) for k in failures],
-        lambda it: f"{it[0][0]}/threads:{it[0][1]} items/s",
-    )
-    lat_failures = downgrade_singletons(
-        lat_failures,
-        lambda it: f"{it[0][0]}/threads:{it[0][1]} {it[1]}",
-    )
-
+def write_reports(family, raws, out_dir, raw_out_dir):
+    if raw_out_dir:
+        raw_out = os.path.join(raw_out_dir, f"raw_{family}.json")
+        write_json(raw_out, raws)
+        print(f"bench_report: wrote raw output {raw_out}")
+    report = build_report(family, raws)
+    out = os.path.join(out_dir, f"BENCH_{family}.json")
+    write_json(out, report)
+    npts = sum(len(s["points"]) for s in report["series"])
     print(
-        f"\nbench_report: worst regression {worst:+.1f}% "
-        f"(warn beyond -{warn_pct:g}%, fail beyond -{fail_pct:g}%; "
-        f"percentiles warn beyond +{ptile_warn_pct:g}%, "
-        f"fail beyond +{ptile_fail_pct:g}%)"
+        f"bench_report: wrote {out} "
+        f"({len(report['series'])} series, {npts} points, "
+        f"stats_compiled_in={report['context']['stats_compiled_in']})"
     )
-    if warnings or lat_warnings:
-        print(
-            f"bench_report: {len(warnings)} warning(s), "
-            f"{len(lat_warnings)} latency warning(s)"
-        )
-    if failures or lat_failures:
-        print(
-            f"bench_report: FAIL — {len(failures)} throughput point(s) "
-            f"beyond {fail_pct:g}%, {len(lat_failures)} percentile(s) "
-            f"beyond {ptile_fail_pct:g}%",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
-def split_families(spec):
-    families = [f for f in re.split(r"[,\s]+", spec) if f]
-    if not families:
-        fail("--families: no family names given")
-    return families
+def p99(point):
+    c = point["counters"]
+    return c.get("tamp.p99") if c.get("tamp.lat_primary") else None
+
+
+# (metric, better, value of a point or None where it is not judged)
+METRICS = (
+    ("items/s", "higher", lambda p: p["items_per_sec"]),
+    ("p99", "lower", p99),
+)
+
+
+def judge(family, base_raws, change_raws, compare):
+    """Print the family's verdict table; return True if a series fails."""
+    base, change = by_point(base_raws), by_point(change_raws)
+    counts = {m: collections.Counter() for m, _, _ in METRICS}
+    judged = {}  # (function, metric) -> [(point, verdict, base, change)]
+    for key in sorted(set(base) & set(change)):
+        for metric, better, value in METRICS:
+            b = [value(p) for p in base[key]]
+            c = [value(p) for p in change[key]]
+            if None in b or None in c:
+                continue
+            v, _ = compare.verdict(b, c, better, BOUND)
+            counts[metric][v] += 1
+            function = key[0].split("/")[0]
+            judged.setdefault((function, metric), []).append((key, v, b, c))
+
+    print(f"{'[' + family + ']':18s}" + "".join(f"{v:>11s}" for v in VERDICTS))
+    for metric, _, _ in METRICS:
+        print(f"  {metric:16s}" +
+              "".join(f"{counts[metric][v]:11d}" for v in VERDICTS))
+    for key in sorted(set(base) ^ set(change)):
+        side = "base" if key in base else "change"
+        print(f"  {key[0]}/threads:{key[1]}: {side} only, not judged")
+    failing = [
+        (f, m) for (f, m), pts in sorted(judged.items())
+        if 2 * sum(v == "regressed" for _, v, _, _ in pts) > len(pts)
+        and not any(v == "improved" for _, v, _, _ in pts)
+    ]
+    fmt = lambda vals: "/".join(f"{x:.4g}" for x in compare.quartiles(vals))
+    for function, metric in failing:
+        pts = judged[(function, metric)]
+        nreg = sum(v == "regressed" for _, v, _, _ in pts)
+        print(f"  FAIL {function} {metric}: {nreg} of {len(pts)} points "
+              f"regressed (base vs change, q1/median/q3)")
+        for (series, threads), v, b, c in pts:
+            print(f"    {series + '/threads:' + str(threads):28s} "
+                  f"{fmt(b):>26s}  {fmt(c):>26s}  {v}")
+    return bool(failing)
+
+
+def paired(args, families):
+    compare = load_compare()
+    dirs = {"base": args.paired, "change": args.build_dir}
+    failing = False
+    for family in families:
+        raws = {"base": [], "change": []}
+        for i in range(PAIRS):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                raws[side].append(run_family(family, dirs[side],
+                                             args.min_time, args.filter))
+        for side, side_raws in raws.items():
+            write_reports(family, side_raws, os.path.join(args.out_dir, side),
+                          args.raw_out_dir
+                          and os.path.join(args.raw_out_dir, side))
+        failing |= judge(family, raws["base"], raws["change"], compare)
+    if failing:
+        print("bench_report: FAIL — a series regressed against the base",
+              file=sys.stderr)
+    return 1 if failing else 0
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--family", help="benchmark family (bench_<family>)")
-    mode.add_argument(
-        "--families",
-        help="comma/space-separated family list; runs each (writing "
-             "BENCH_<family>.json into --out-dir) or, with --diff-dirs, "
-             "diffs each against its baseline",
-    )
-    mode.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"),
-        help="diff two reports instead of running a family",
+    ap.add_argument(
+        "--families", required=True,
+        help="comma/space-separated family list (bench_<family>)",
     )
     ap.add_argument("--build-dir", default="build-stats")
-    ap.add_argument("--out", help="output path (default BENCH_<family>.json)")
     ap.add_argument(
         "--out-dir", default=".",
-        help="with --families: directory for the per-family reports",
-    )
-    ap.add_argument(
-        "--diff-dirs", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
-        help="with --families: diff OLD_DIR/BENCH_<family>.json against "
-             "NEW_DIR/BENCH_<family>.json per family; families with no "
-             "baseline in OLD_DIR are announced and skipped",
+        help="directory for the BENCH_<family>.json reports",
     )
     ap.add_argument(
         "--raw-out-dir",
-        help="with --families: also write raw_<family>.json here "
-             "(CI artifact)",
+        help="also write raw_<family>.json (the google-benchmark "
+             "outputs) here",
     )
     ap.add_argument(
         "--min-time", type=float, default=DEFAULT_MIN_TIME,
         help="per-benchmark min time, seconds (bare double)",
     )
-    ap.add_argument(
-        "--quick", action="store_true",
-        help=f"CI smoke mode: min time {QUICK_MIN_TIME}s, "
-             f"median of 3 repetitions",
-    )
-    ap.add_argument(
-        "--repetitions", type=int, default=None,
-        help="repetitions per benchmark; the median-throughput repetition "
-             "is kept per point (default: 3 with --quick, else 1)",
-    )
     ap.add_argument("--filter", help="forwarded as --benchmark_filter")
-    ap.add_argument("--warn-pct", type=float, default=10.0)
-    ap.add_argument("--fail-pct", type=float, default=25.0)
     ap.add_argument(
-        "--ptile-warn-pct", type=float, default=25.0,
-        help="warn when a tamp.p* latency percentile grows beyond this",
-    )
-    ap.add_argument(
-        "--ptile-fail-pct", type=float, default=50.0,
-        help="fail when a tamp.p* latency percentile grows beyond this",
-    )
-    ap.add_argument(
-        "--show-counters", action="store_true",
-        help="with --diff: print tamp.* counter deltas for every point, "
-             "not only regressed ones",
-    )
-    ap.add_argument(
-        "--raw-out",
-        help="also write the raw google-benchmark JSON here (CI artifact)",
+        "--paired", metavar="BASE_BUILD_DIR",
+        help=f"judge --build-dir against this build: {PAIRS} alternating "
+             f"pairs of runs per family; exit 1 if a series regressed",
     )
     args = ap.parse_args()
 
-    if args.diff_dirs and not args.families:
-        fail("--diff-dirs requires --families")
-
-    def diff_one(old_path, new_path):
-        try:
-            return diff_reports(old_path, new_path, args.warn_pct,
-                                args.fail_pct, args.ptile_warn_pct,
-                                args.ptile_fail_pct, args.show_counters)
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
-            # validate_report covers the documented schema; this backstop
-            # turns anything it missed into the same one-line contract.
-            fail(f"malformed report: {type(e).__name__}: {e}")
-
-    if args.diff:
-        sys.exit(diff_one(*args.diff))
-
-    min_time = QUICK_MIN_TIME if args.quick else args.min_time
-    repetitions = args.repetitions
-    if repetitions is None:
-        repetitions = 3 if args.quick else 1
-
-    def run_one(family, out, raw_out):
-        raw = run_family(family, args.build_dir, min_time, args.filter,
-                         repetitions)
-        if raw_out:
-            with open(raw_out, "w") as f:
-                json.dump(raw, f, indent=2, sort_keys=True)
-                f.write("\n")
-            print(f"bench_report: wrote raw output {raw_out}")
-        report = build_report(family, raw)
-        with open(out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        npts = sum(len(s["points"]) for s in report["series"])
-        print(
-            f"bench_report: wrote {out} "
-            f"({len(report['series'])} series, {npts} points, "
-            f"stats_compiled_in={report['context']['stats_compiled_in']})"
-        )
-
-    if args.families:
-        families = split_families(args.families)
-        if args.diff_dirs:
-            old_dir, new_dir = args.diff_dirs
-            status = 0
-            for family in families:
-                old_path = os.path.join(old_dir, f"BENCH_{family}.json")
-                new_path = os.path.join(new_dir, f"BENCH_{family}.json")
-                if not os.path.exists(old_path):
-                    # Schema-growth tolerance at family granularity: a
-                    # just-wired family has no baseline yet.
-                    print(f"bench_report: [{family}] no baseline "
-                          f"{old_path}; skipping diff")
-                    continue
-                if not os.path.exists(new_path):
-                    fail(f"[{family}] missing new report {new_path} — "
-                         f"was the run step skipped?")
-                print(f"bench_report: [{family}] diffing "
-                      f"{old_path} -> {new_path}")
-                status = max(status, diff_one(old_path, new_path))
-            sys.exit(status)
-        os.makedirs(args.out_dir, exist_ok=True)
-        if args.raw_out_dir:
-            os.makedirs(args.raw_out_dir, exist_ok=True)
-        for family in families:
-            run_one(
-                family,
-                os.path.join(args.out_dir, f"BENCH_{family}.json"),
-                os.path.join(args.raw_out_dir, f"raw_{family}.json")
-                if args.raw_out_dir else None,
-            )
-        return
-
-    run_one(args.family, args.out or f"BENCH_{args.family}.json",
-            args.raw_out)
+    families = [f for f in re.split(r"[,\s]+", args.families) if f]
+    if not families:
+        fail("--families: no family names given")
+    if args.paired:
+        sys.exit(paired(args, families))
+    for family in families:
+        raw = run_family(family, args.build_dir, args.min_time, args.filter)
+        write_reports(family, [raw], args.out_dir, args.raw_out_dir)
 
 
 if __name__ == "__main__":
