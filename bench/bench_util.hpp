@@ -161,8 +161,8 @@ inline void quiesce(benchmark::State& state) {
 
 /// Publish the per-run counter deltas as `tamp.*` benchmark counters,
 /// zeros included, so a point's keys do not depend on whether a rare
-/// event fired in its run (a counter still appears only once something
-/// in the process has touched it).  Call after Shared<>::teardown (whose
+/// event fired in its run or earlier (every counter compiled into the
+/// binary registers at startup).  Call after Shared<>::teardown (whose
 /// barrier guarantees every worker has left the timing loop, making the
 /// sweep exact).  With TAMP_STATS off the snapshot is empty and nothing
 /// is published.

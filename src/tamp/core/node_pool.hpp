@@ -6,7 +6,8 @@
 // half of the collector (the other half, deciding *when* a node may be
 // recycled, is the reclamation domain's).  The split-ordered table
 // (tamp/hash/split_ordered.hpp) takes every node from it through a
-// class-level operator new/delete.
+// class-level operator new/delete: its 16-byte sentinels from one size
+// class, its data nodes from another.
 //
 // Shape (perfbook's per-CPU resource-allocator cache, over Bonwick's
 // magazines):
@@ -25,9 +26,16 @@
 //    that allocates a run of nodes gets them adjacent whatever order their
 //    predecessors were freed in (a table's destructor frees in hash
 //    order);
-//  * slabs come from mmap, mapped at twice their size and trimmed to their
-//    alignment.  They are never unmapped: memory freed to the pool is kept
-//    for reuse, not returned to the OS;
+//  * slabs are carved, in ascending address order, from 2 MiB runs that
+//    come from mmap, mapped at twice their size and trimmed to their
+//    alignment.  Each run is advised MADV_HUGEPAGE once, so a kernel with
+//    transparent huge pages may back it with one huge page, which gives
+//    a lookup's chain of dependent node loads TLB reach (on a kernel
+//    without them the advice fails and 4 KiB pages serve).  A run on a
+//    huge page is resident once touched, so each size class may hold a
+//    partly used run's worth of untouched slabs.  Runs are never
+//    unmapped: memory freed to the pool is kept for reuse, not returned
+//    to the OS;
 //  * a free block holds no pool metadata (magazines and bitmaps live
 //    elsewhere), so under ASan the whole block is poisoned from its free
 //    to its next allocation and a read of a freed node is reported.
@@ -70,6 +78,8 @@ class NodePool {
   public:
     /// Bytes per slab, and its alignment.
     static constexpr std::size_t kSlabBytes = std::size_t{64} << 10;
+    /// Bytes per run the depot maps, and its alignment: a huge page.
+    static constexpr std::size_t kRunBytes = std::size_t{2} << 20;
     /// Block pointers per magazine: one grace-period batch (EBR and QSBR
     /// attempt a grace period per 1024 retires), so a thread's magazines
     /// absorb the frees of an aged batch and its next inserts take them
@@ -236,15 +246,23 @@ class NodePool {
         }
 
       private:
+        /// The current run's next slab, mapping a new run when it is spent.
         Slab* map_slab() {
-            void* raw = mmap(nullptr, 2 * kSlabBytes, PROT_READ | PROT_WRITE,
-                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-            if (raw == MAP_FAILED) throw std::bad_alloc();
-            const auto lo = reinterpret_cast<std::uintptr_t>(raw);
-            const std::uintptr_t at = (lo + kSlabBytes - 1) & ~(kSlabBytes - 1);
-            if (at != lo) munmap(raw, at - lo);
-            munmap(reinterpret_cast<void*>(at + kSlabBytes),
-                   lo + kSlabBytes - at);
+            if (next_ == end_) {
+                void* raw = mmap(nullptr, 2 * kRunBytes, PROT_READ | PROT_WRITE,
+                                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                if (raw == MAP_FAILED) throw std::bad_alloc();
+                const auto lo = reinterpret_cast<std::uintptr_t>(raw);
+                next_ = (lo + kRunBytes - 1) & ~(kRunBytes - 1);
+                end_ = next_ + kRunBytes;
+                if (next_ != lo) munmap(raw, next_ - lo);
+                munmap(reinterpret_cast<void*>(end_), lo + kRunBytes - next_);
+                // Best effort: without THP the run keeps 4 KiB pages.
+                madvise(reinterpret_cast<void*>(next_), kRunBytes,
+                        MADV_HUGEPAGE);
+            }
+            const std::uintptr_t at = next_;
+            next_ += kSlabBytes;
             auto* s = ::new (reinterpret_cast<void*>(at)) Slab{};
             for (std::size_t i = kHeaderBlocks; i < kSlabBlocks; ++i) {
                 s->free_bits[i / 64] |= std::uint64_t{1} << (i % 64);
@@ -262,6 +280,8 @@ class NodePool {
 
         mutable std::mutex mu_;
         std::set<Slab*> stocked_;  // slabs with a free block, by address
+        std::uintptr_t next_ = 0;  // the current run's next slab
+        std::uintptr_t end_ = 0;   // and the run's end
         std::size_t blocks_ = 0;   // in all slabs, headers excluded
         std::size_t free_ = 0;     // in the depot
     };

@@ -16,6 +16,14 @@
 // b + 2^k gets a sentinel whose split-order key falls exactly in the
 // middle of b's chain — the recursion that gives the scheme its name.
 //
+// A sentinel is only its split-order key and link: a 16-byte SplitLink,
+// from a NodePool size class of its own.  A data node extends the link
+// with the key and the face's slot, from the class its size rounds to
+// (32 bytes in the KV map).  An odd so_key marks a data node, so the
+// table and its faces read `key` and `slot` only behind one; a remove
+// marks only data nodes, and the Harris–Michael core retires as that
+// type.
+//
 // SplitOrderedTable is tamp's one such table: the Harris–Michael list of
 // tamp/lists/harris_michael.hpp, a doubling bucket directory, lazy
 // sentinel install and the resize policy, all on tamp::atomic so tamp::sim
@@ -51,13 +59,28 @@ namespace detail {
 /// The step of a face that brackets nothing: run the CAS.
 inline constexpr auto kDirectStep = [](auto cas) { return cas(); };
 
+/// A split-ordered list's link, and the whole of a bucket sentinel (even
+/// so_key).  A table's data nodes extend it (SplitOrderedTable::Node).
+struct SplitLink {
+    const std::uint64_t so_key;  // split-order key; even = sentinel
+    AtomicMarkedPtr<SplitLink> next;
+
+    explicit SplitLink(std::uint64_t so) : so_key(so) {}
+
+    static void* operator new(std::size_t) {
+        return NodePoolFor<SplitLink>::allocate();
+    }
+    static void operator delete(void* p) {
+        NodePoolFor<SplitLink>::deallocate(p);
+    }
+};
+
 template <std::totally_ordered K, typename KeyOf, reclaim::domain Domain,
           typename Slot>
 class SplitOrderedTable {
     static_assert(!Domain::kProtects,
                   "split-ordered traversals publish no per-pointer "
                   "protection; use a grace-period domain (ebr/qsbr)");
-    using HM = HarrisMichael<Domain>;
 
     static constexpr std::size_t kSegment0Bits = 4;
     static constexpr std::size_t kSegment0Size = std::size_t{1}
@@ -67,19 +90,17 @@ class SplitOrderedTable {
                                                << (kMaxSegments - 1);
 
   public:
-    struct Node {
-        const std::uint64_t so_key;  // split-order key; even = sentinel
-        const K key;                 // tie-break for same-hash keys
+    using Link = SplitLink;
+    /// A data node (odd so_key).  The deleters the domain runs and the
+    /// destructor's deletes return it to its own NodePool class.
+    struct Node : Link {
+        const K key;                      // tie-break for same-hash keys
         [[no_unique_address]] Slot slot;  // the map's value; set: empty
-        AtomicMarkedPtr<Node> next;
 
         template <typename... A>
         Node(std::uint64_t so, const K& k, const A&... a)
-            : so_key(so), key(k), slot(a...) {}
+            : Link(so), key(k), slot(a...) {}
 
-        // Every node, sentinel or data, lives in a NodePool block
-        // (tamp/core/node_pool.hpp): the deleters the domain runs and the
-        // destructor's deletes all return here.
         static void* operator new(std::size_t) {
             return NodePoolFor<Node>::allocate();
         }
@@ -90,7 +111,7 @@ class SplitOrderedTable {
     using Guard = typename Domain::guard;
 
     SplitOrderedTable(std::size_t initial_buckets, std::size_t max_load)
-        : max_load_(max_load), head_(new Node(0, K{})) {
+        : max_load_(max_load), head_(new Link(0)) {
         std::size_t b = kSegment0Size;
         while (b < initial_buckets && b < kMaxBuckets) b *= 2;
         bucket_count_.store(b, std::memory_order_relaxed);
@@ -99,10 +120,14 @@ class SplitOrderedTable {
     }
 
     ~SplitOrderedTable() {
-        Node* n = head_;
+        Link* n = head_;
         while (n != nullptr) {
-            Node* next = n->next.load(std::memory_order_relaxed).ptr();
-            delete n;
+            Link* next = n->next.load(std::memory_order_relaxed).ptr();
+            if (is_data(n)) {
+                delete static_cast<Node*>(n);
+            } else {
+                delete n;
+            }
             n = next;
         }
         for (auto& s : segments_) {
@@ -139,7 +164,7 @@ class SplitOrderedTable {
     template <typename Step>
     bool remove(Guard& g, const K& k, Step step) {
         const std::uint64_t h = KeyOf{}(k);
-        Node* start = bucket(g, bucket_of(h));
+        Link* start = bucket(g, bucket_of(h));
         const bool removed =
             HM::remove(g, start, Target{split_ordinary_key(h), k}, step);
         if (removed) size_.fetch_sub(1, std::memory_order_relaxed);
@@ -152,17 +177,21 @@ class SplitOrderedTable {
     Node* lookup(Guard& g, const K& k) {
         const std::uint64_t h = KeyOf{}(k);
         const Target t{split_ordinary_key(h), k};
-        Node* curr = bucket(g, bucket_of(h));
+        Link* curr = bucket(g, bucket_of(h));
         while (curr != nullptr && t.before(curr)) {
             curr = curr->next.load().ptr();
         }
-        return curr != nullptr && t.matches(curr) ? curr : nullptr;
+        return curr != nullptr && t.matches(curr) ? static_cast<Node*>(curr)
+                                                  : nullptr;
     }
 
-    static bool marked(const Node* n) { return n->next.load().marked(); }
+    static bool marked(const Link* n) { return n->next.load().marked(); }
+
+    /// Whether n is a data node (odd so_key), and so a Node.
+    static bool is_data(const Link* n) { return (n->so_key & 1u) != 0; }
 
     /// Bucket 0's sentinel: the whole list, in split order.
-    Node* head() const { return head_; }
+    Link* head() const { return head_; }
 
     std::size_t size() const {
         return size_.load(std::memory_order_relaxed);
@@ -181,17 +210,22 @@ class SplitOrderedTable {
     }
 
   private:
+    // Snips retire as Node: only data nodes are ever marked.
+    using HM = HarrisMichael<Domain, Node>;
+
     // The search target: split-order key, then the key as tie-break (a
-    // sentinel's even split-order key is unique on its own).
+    // sentinel's even split-order key is unique on its own; an odd one
+    // equal to `so` is a data node's).
     struct Target {
         const std::uint64_t so;
         const K& k;
-        bool before(const Node* n) const {
+        bool before(const Link* n) const {
             if (n->so_key != so) return n->so_key < so;
-            return (so & 1u) != 0 && n->key < k;
+            return (so & 1u) != 0 && static_cast<const Node*>(n)->key < k;
         }
-        bool matches(const Node* n) const {
-            return n->so_key == so && ((so & 1u) == 0 || n->key == k);
+        bool matches(const Link* n) const {
+            return n->so_key == so &&
+                   ((so & 1u) == 0 || static_cast<const Node*>(n)->key == k);
         }
     };
 
@@ -204,19 +238,19 @@ class SplitOrderedTable {
     /// Bucket b's directory cell.  Segment 0 holds buckets [0, 16);
     /// segment s >= 1 holds [2^(s+3), 2^(s+4)), doubling the table.  (One
     /// bit_width serves both cases: b | 15 gives segment 0 the width 4.)
-    tamp::atomic<Node*>& bucket_ref(std::size_t b) {
+    tamp::atomic<Link*>& bucket_ref(std::size_t b) {
         const auto width = static_cast<std::size_t>(
             std::bit_width(b | (kSegment0Size - 1)));
         const std::size_t seg = width - kSegment0Bits;
         const std::size_t base =
             (std::size_t{1} << (width - 1)) & ~(kSegment0Size - 1);
         assert(seg < kMaxSegments);
-        tamp::atomic<Node*>* segment =
+        tamp::atomic<Link*>* segment =
             segments_[seg].load(std::memory_order_acquire);
         if (segment == nullptr) {
-            segment = new tamp::atomic<Node*>[seg == 0 ? kSegment0Size
+            segment = new tamp::atomic<Link*>[seg == 0 ? kSegment0Size
                                                         : base]();
-            tamp::atomic<Node*>* expected = nullptr;
+            tamp::atomic<Link*>* expected = nullptr;
             if (!segments_[seg].compare_exchange_strong(
                     expected, segment, std::memory_order_acq_rel,
                     std::memory_order_acquire)) {
@@ -228,8 +262,8 @@ class SplitOrderedTable {
     }
 
     /// Bucket b's sentinel, installed on first touch.
-    Node* bucket(Guard& g, std::size_t b) {
-        Node* sentinel = bucket_ref(b).load(std::memory_order_acquire);
+    Link* bucket(Guard& g, std::size_t b) {
+        Link* sentinel = bucket_ref(b).load(std::memory_order_acquire);
         return sentinel != nullptr ? sentinel : install(g, b);
     }
 
@@ -237,16 +271,16 @@ class SplitOrderedTable {
     /// chain (the parent is b with the top bit cleared, Fig. 13.17, and is
     /// installed first), then publish whichever sentinel is resident.  Out
     /// of line so every operation's bucket() stays a load and a branch.
-    [[gnu::noinline]] Node* install(Guard& g, std::size_t b) {
-        tamp::atomic<Node*>& ref = bucket_ref(b);
+    [[gnu::noinline]] Link* install(Guard& g, std::size_t b) {
+        tamp::atomic<Link*>& ref = bucket_ref(b);
         const K none{};
         const Target t{split_sentinel_key(b), none};
-        const auto make = [&] { return new Node(t.so, none); };
-        Node* node =
+        const auto make = [&] { return new Link(t.so); };
+        Link* node =
             HM::insert(g, bucket(g, b - std::bit_floor(b)), t, make,
                        kDirectStep)
                 .first;
-        Node* expected = nullptr;
+        Link* expected = nullptr;
         if (ref.compare_exchange_strong(expected, node,
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
@@ -256,13 +290,13 @@ class SplitOrderedTable {
     }
 
     const std::size_t max_load_;
-    Node* const head_;  // bucket 0's sentinel (so_key == 0)
+    Link* const head_;  // bucket 0's sentinel (so_key == 0)
     // bucket_count_ and the directory are read by every operation and
     // written rarely; size_, bumped by every insert and remove, gets a line
     // of its own (sharing the directory's cost bench_hash's 4-thread
     // update mix about a quarter of its throughput on 4 vCPUs).
     alignas(kCacheLineSize) tamp::atomic<std::size_t> bucket_count_;
-    tamp::atomic<tamp::atomic<Node*>*> segments_[kMaxSegments]{};
+    tamp::atomic<tamp::atomic<Link*>*> segments_[kMaxSegments]{};
     alignas(kCacheLineSize) tamp::atomic<std::size_t> size_{0};
 };
 

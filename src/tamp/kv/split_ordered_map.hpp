@@ -59,6 +59,7 @@ class SplitOrderedMap {
     static_assert(std::is_trivially_copyable_v<V>,
                   "values are updated in place through tamp::atomic<V>");
     using Table = detail::SplitOrderedTable<K, KeyOf, Domain, tamp::atomic<V>>;
+    using Link = typename Table::Link;
     using Node = typename Table::Node;
     using Guard = typename Domain::guard;
 
@@ -138,13 +139,14 @@ class SplitOrderedMap {
                 continue;
             }
             out.resize(base);
-            for (Node* n = table_.head(); n != nullptr;) {
+            for (Link* n = table_.head(); n != nullptr;) {
                 if (limit != 0 && out.size() - base == limit) break;
                 bool marked = false;
-                Node* next = n->next.get(&marked);
-                if ((n->so_key & 1ull) != 0 && !marked) {
+                Link* next = n->next.get(&marked);
+                if (Table::is_data(n) && !marked) {
+                    const auto* d = static_cast<const Node*>(n);
                     out.emplace_back(
-                        n->key, n->slot.load(std::memory_order_acquire));
+                        d->key, d->slot.load(std::memory_order_acquire));
                 }
                 n = next;
             }

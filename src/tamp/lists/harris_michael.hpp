@@ -10,6 +10,12 @@
 // then tries one unlink.  Both run that CAS through the caller's `step`
 // (which may bracket or count it) and search again when it loses.
 //
+// A list may link nodes of two types: sentinels of a base type that only
+// `make()` builds and nothing marks, and the data nodes that extend it
+// (the split-ordered table's).  insert() deletes an unpublished node, and
+// returns the resident one, as `make()`'s type; snip() retires a node as
+// `Data`, the type of every node a remove marks (void: the list's own).
+//
 // Under a protecting domain (hazard pointers) find() is Michael's rotating
 // two-hazard search: publish curr (slot 1), then re-read pred's link —
 // while it still names curr unmarked, curr is reachable from a protected
@@ -19,6 +25,7 @@
 
 #pragma once
 
+#include <type_traits>
 #include <utility>
 
 #include "tamp/core/marked_ptr.hpp"
@@ -35,9 +42,11 @@ struct Window {
     Node* curr;  // tamp-lint: allow(plain-shared-member)
 };
 
-template <reclaim::domain Domain>
+template <reclaim::domain Domain, typename Data = void>
 struct HarrisMichael {
     using Guard = typename Domain::guard;
+    template <typename Node>
+    using Retired = std::conditional_t<std::is_void_v<Data>, Node, Data>;
 
     /// The window from `start` (a sentinel): adjacent (pred, curr), pred
     /// unmarked, curr the first node `t` does not pass or null at the end.
@@ -81,15 +90,15 @@ struct HarrisMichael {
     /// linked into the window.  Returns the resident node and whether
     /// this call linked it; a present target is left untouched.
     template <typename Node, typename Target, typename Make, typename Step>
-    static std::pair<Node*, bool> insert(Guard& g, Node* start,
-                                         const Target& t, Make make,
-                                         Step step) {
-        Node* node = nullptr;
+    static std::pair<std::invoke_result_t<Make&>, bool> insert(
+        Guard& g, Node* start, const Target& t, Make make, Step step) {
+        using Made = std::invoke_result_t<Make&>;
+        Made node = nullptr;
         for (;;) {
             const Window<Node> w = find(g, start, t);
             if (w.curr != nullptr && t.matches(w.curr)) {
                 delete node;  // never published
-                return {w.curr, false};
+                return {static_cast<Made>(w.curr), false};
             }
             if (node == nullptr) node = make();
             node->next.store(w.curr, false);
@@ -122,7 +131,7 @@ struct HarrisMichael {
     template <typename Node>
     static bool snip(Node* pred, Node* curr, Node* succ) {
         const bool won = pred->next.compare_and_set(curr, succ, false, false);
-        if (won) Domain::retire(curr);
+        if (won) Domain::retire(static_cast<Retired<Node>*>(curr));
         return won;
     }
 };

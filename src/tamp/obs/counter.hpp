@@ -18,9 +18,12 @@
 // one writer at a time, and a recycled id continues its cell's total.
 //
 // Counters and histograms register themselves in one global intrusive
-// list on first use, so the benchmark harness can sweep "everything that
-// moved" without a central manifest (see snapshot(), hist_snapshot() and
-// bench/bench_util.hpp).
+// list, so the benchmark harness can sweep "everything that moved"
+// without a central manifest (see snapshot(), hist_snapshot() and
+// bench/bench_util.hpp).  A counter registers during static
+// initialization, so a sweep lists every counter compiled into the
+// binary, at 0 until its event first fires; a histogram registers on its
+// first record.
 
 #pragma once
 
@@ -39,8 +42,9 @@ namespace tamp::obs {
 /// How a counter's per-thread cells combine into one number.
 enum class counter_kind : std::uint8_t { kSum, kMax };
 
-/// Registry node, one per counter or histogram type ever touched in this
-/// process.  Lives beside the metric's (leaked) store; never freed.
+/// Registry node, one per counter type compiled into the binary and per
+/// histogram type touched in this process.  Lives beside the metric's
+/// (leaked) store; never freed.
 /// Counters set `total`, histograms set `merge`.
 struct metric_info {
     const char* name;
@@ -116,6 +120,7 @@ class basic_counter {
     static void inc(std::uint64_t n = 1) noexcept
         requires(Kind == counter_kind::kSum)
     {
+        static_cast<void>(registered_);
         std::atomic<std::uint64_t>& c = store().local().value;
         c.store(c.load(std::memory_order_relaxed) + n,
                 std::memory_order_relaxed);
@@ -125,6 +130,7 @@ class basic_counter {
     static void observe(std::uint64_t v) noexcept
         requires(Kind == counter_kind::kMax)
     {
+        static_cast<void>(registered_);
         std::atomic<std::uint64_t>& c = store().local().value;
         if (v > c.load(std::memory_order_relaxed)) {
             c.store(v, std::memory_order_relaxed);
@@ -156,6 +162,12 @@ class basic_counter {
             {Tag::name, Kind, &basic_counter::total, nullptr, nullptr});
         return s;
     }
+
+    /// Registers the counter during static initialization: inc() and
+    /// observe() name it, so a counter whose update is compiled but has
+    /// not run is swept at 0 from main() on.  store() stays the one
+    /// initializer, whichever static initializer reaches it first.
+    static inline per_thread<Cell>& registered_ = store();
 };
 
 #else  // !TAMP_STATS — every operation is an empty inline; no storage.

@@ -24,13 +24,14 @@
 // so a reported p999 is never below the true p999 — the right bias for a
 // regression gate.
 //
-// The contract mirrors counter<Tag> exactly (see config.hpp for the ODR
-// rules): histogram<Tag> is pure tag dispatch, keeps its buckets in the
-// per-thread store (core/per_thread.hpp), self-registers on first use in the one metric
-// registry the counters use (counter.hpp), is swept by hist_snapshot(),
-// and compiles to an empty type with constexpr no-op members when
-// TAMP_STATS is OFF.  Values are nanoseconds by convention (tag names end
-// in `_ns`); obs/timer.hpp provides the calibrated tick source.
+// The contract mirrors counter<Tag> (see config.hpp for the ODR rules):
+// histogram<Tag> is pure tag dispatch, keeps its buckets in the
+// per-thread store (core/per_thread.hpp), registers on its first record
+// (a counter registers at startup) in the one metric registry the
+// counters use (counter.hpp), is swept by hist_snapshot(), and compiles
+// to an empty type with constexpr no-op members when TAMP_STATS is OFF.
+// Values are nanoseconds by convention (tag names end in `_ns`);
+// obs/timer.hpp provides the calibrated tick source.
 
 #pragma once
 

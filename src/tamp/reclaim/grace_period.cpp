@@ -104,7 +104,10 @@ void GracePeriodDomain<P>::on_exit(void* self, std::size_t tid) {
 
 template <typename P>
 void GracePeriodDomain<P>::retire(void* p, void (*deleter)(void*)) {
-    Record& rec = record();
+    // Not record(): a retire outside a read section holds no references,
+    // and attaching (announcing) a thread that only retires would make it
+    // gate every grace period until it announces, idles or exits.
+    Record& rec = records_.local();
     // The retirer's accesses to *p happen-before the eventual free two
     // periods later.  The grace-period argument rides on the
     // announce/advance protocol, which TSan cannot follow onto `p`

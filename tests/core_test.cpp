@@ -8,8 +8,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -245,8 +248,9 @@ TEST(Concepts, LockGuardGuards) {
 
 // ------------------------------------------------------------- node pool
 
-// The KV map's node.  SplitOrderedHashSet<int>'s rounds up to the same
-// 32-byte block, so the tests below count both faces' nodes in one pool
+// The KV map's data node, and the sentinel every table shares.
+// SplitOrderedHashSet<int>'s data node rounds up to the same 32-byte
+// block, so the tests below count both faces' nodes in these two pools
 // (not under TAMP_SIM, whose tamp::atomic is larger; this suite is not
 // run there).
 using KvTable = detail::SplitOrderedTable<std::uint64_t,
@@ -255,7 +259,9 @@ using KvTable = detail::SplitOrderedTable<std::uint64_t,
                                           tamp::atomic<std::uint64_t>>;
 using KvNode = KvTable::Node;
 using Pool = NodePoolFor<KvNode>;
+using SentinelPool = NodePoolFor<KvTable::Link>;
 #if !TAMP_SIM
+static_assert(std::is_same_v<SentinelPool, NodePool<16>>);
 static_assert(std::is_same_v<Pool, NodePool<32>>);
 #endif
 
@@ -310,6 +316,58 @@ TEST(NodePool, BlocksFreedByAnExitingThreadServeTheNext) {
     EXPECT_EQ(run(), first);
 }
 
+// The VmFlags line of the mapping that holds `addr`, from /proc/self/smaps.
+std::string vm_flags_of(std::uintptr_t addr) {
+    std::ifstream smaps("/proc/self/smaps");
+    bool inside = false;
+    for (std::string line; std::getline(smaps, line);) {
+        unsigned long lo = 0;
+        unsigned long hi = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+            inside = lo <= addr && addr < hi;
+        } else if (inside && line.starts_with("VmFlags:")) {
+            return line;
+        }
+    }
+    return {};
+}
+
+TEST(NodePool, SlabsAreCarvedInAddressOrderFromHugePageRuns) {
+    // 2 KiB blocks: no other test takes them, so this class's first
+    // refill, a magazine of 1024 blocks at 31 a slab, fills its first
+    // run's 32 slabs and spills into a second run.
+    using Big = NodePool<2048>;
+    constexpr std::size_t kSlabsPerRun = Big::kRunBytes / Big::kSlabBytes;
+    std::vector<void*> blocks;
+    for (std::size_t i = 0; i < Big::kMagazine; ++i) {
+        blocks.push_back(Big::allocate());
+    }
+    std::vector<std::uintptr_t> slabs;
+    for (void* p : blocks) {
+        const std::uintptr_t slab = address(p) & ~(Big::kSlabBytes - 1);
+        if (slabs.empty() || slabs.back() != slab) slabs.push_back(slab);
+    }
+    ASSERT_GT(slabs.size(), kSlabsPerRun);
+    for (std::size_t i = 0; i < slabs.size(); ++i) {
+        // Slab i is slab i % 32 of a 2 MiB-aligned run, just above the
+        // one before it unless it starts a run.
+        EXPECT_EQ(slabs[i] % Big::kRunBytes, i % kSlabsPerRun * Big::kSlabBytes)
+            << "slab " << i;
+        if (i % kSlabsPerRun != 0) {
+            EXPECT_EQ(slabs[i], slabs[i - 1] + Big::kSlabBytes) << "slab " << i;
+        }
+    }
+    // Each run is advised MADV_HUGEPAGE; whether the kernel backs it with
+    // huge pages (AnonHugePages) depends on the host, so is not checked.
+    if (std::filesystem::exists("/sys/kernel/mm/transparent_hugepage")) {
+        for (const std::uintptr_t run : {slabs.front(), slabs.back()}) {
+            EXPECT_NE(vm_flags_of(run).find(" hg"), std::string::npos)
+                << vm_flags_of(run);
+        }
+    }
+    for (void* p : blocks) Big::deallocate(p);
+}
+
 TEST(NodePool, RefillsAfterATableIsFreedComeInAddressOrder) {
     constexpr int kKeys = 20000;
     {
@@ -334,6 +392,7 @@ TEST(NodePool, RefillsAfterATableIsFreedComeInAddressOrder) {
 TEST(NodePool, NodeFreedOnEbrThreadExitLandsInTheDepot) {
     reclaim::ebr::drain();
     const std::size_t base = Pool::in_use();
+    const std::size_t sentinels = SentinelPool::in_use();
     {
         SplitOrderedHashSet<int> set;
         std::atomic<int> stage{0};
@@ -354,6 +413,7 @@ TEST(NodePool, NodeFreedOnEbrThreadExitLandsInTheDepot) {
         EXPECT_EQ(reclaim::ebr::pending(), 0u) << "exit did not free";
     }
     EXPECT_EQ(Pool::in_use(), base);
+    EXPECT_EQ(SentinelPool::in_use(), sentinels);
 }
 
 TEST(NodePool, InUseReturnsToStartAfterTablesAreFreedAndDrained) {
@@ -363,6 +423,7 @@ TEST(NodePool, InUseReturnsToStartAfterTablesAreFreedAndDrained) {
     // the domain.
     reclaim::ebr::drain();
     const std::size_t base = Pool::in_use();
+    const std::size_t sentinels = SentinelPool::in_use();
     {
         KvTable table(16, 4);
         {
@@ -393,10 +454,12 @@ TEST(NodePool, InUseReturnsToStartAfterTablesAreFreedAndDrained) {
             }
         });
         EXPECT_GT(Pool::in_use(), base);
+        EXPECT_GT(SentinelPool::in_use(), sentinels);
     }
     reclaim::ebr::drain();
     EXPECT_EQ(reclaim::ebr::pending(), 0u);
     EXPECT_EQ(Pool::in_use(), base);
+    EXPECT_EQ(SentinelPool::in_use(), sentinels);
 }
 
 #if TAMP_ASAN_ENABLED

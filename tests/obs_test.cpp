@@ -42,6 +42,12 @@ struct sweep_tag {
 struct snap_tag {
     static constexpr const char* name = "test.snap";
 };
+struct unmoved_sum_tag {
+    static constexpr const char* name = "test.unmoved.sum";
+};
+struct unmoved_max_tag {
+    static constexpr const char* name = "test.unmoved.max";
+};
 struct hist_merge_tag {
     static constexpr const char* name = "test.hist.merge";
 };
@@ -158,6 +164,26 @@ TEST(ObsCounter, SnapshotContainsTouchedCountersSorted) {
         }
     }
     EXPECT_TRUE(found);
+}
+
+// A counter registers during static initialization, not on its first
+// update: these two are updated only in a lambda that never runs, and
+// the sweep lists both at 0.
+TEST(ObsCounter, SnapshotListsCompiledCountersThatNeverMoved) {
+    [[maybe_unused]] const auto never_run = [] {
+        obs::counter<unmoved_sum_tag>::inc();
+        obs::max_counter<unmoved_max_tag>::observe(1);
+    };
+    std::vector<std::string> listed;
+    for (const obs::counter_sample& s : obs::snapshot()) {
+        const std::string name = s.name;
+        if (name == "test.unmoved.sum" || name == "test.unmoved.max") {
+            listed.push_back(name);
+            EXPECT_EQ(s.value, 0u) << name;
+        }
+    }
+    EXPECT_EQ(listed, (std::vector<std::string>{"test.unmoved.max",
+                                                "test.unmoved.sum"}));
 }
 
 // --------------------------------------------------------------- tracing

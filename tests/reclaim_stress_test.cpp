@@ -362,7 +362,7 @@ void expect_churn_backlog_bounded(std::size_t (*bound)()) {
     D::drain();
     if constexpr (std::is_same_v<D, reclaim::qsbr>) {
         // drain() returns an announced caller announced, and an earlier
-        // test's retire() may have attached this thread; it holds no
+        // test may have left this thread announced; it holds no
         // references, so it goes idle, or it would hold the period back.
         QsbrDomain::global().idle();
     }

@@ -570,10 +570,9 @@ TEST(Qsbr, RecycledIdStartsAnnouncedAtTheLivePeriod) {
 }
 
 // drain() announces for its caller between attempts and hands it back as
-// it found it.  D is new to QSBR when it drains (a retire() of its own
-// would attach and announce it), so it leaves unattached and idle: while
-// it waits it holds back no grace period, and its next read section
-// announces again.
+// it found it.  D is new to QSBR when it drains, so it leaves unattached
+// and idle: while it waits it holds back no grace period, and its next
+// read section announces again.
 TEST(Qsbr, DrainLeavesANewCallerUnattachedAndIdle) {
     QsbrDomain& dom = QsbrDomain::global();
     const int before = Tracked::live.load();
@@ -611,6 +610,33 @@ TEST(Qsbr, DrainLeavesAnIdleCallerIdleAndAnAnnouncedOneAnnounced) {
         dom.drain();
         EXPECT_EQ(dom.record().announced.load(), QsbrDomain::kIdle);
     }).join();
+    EXPECT_EQ(Tracked::live.load(), before);
+}
+
+// A retire outside a read section holds no references: it leaves a new
+// thread unattached and idle, so the thread holds back no grace period
+// while it waits.
+TEST(Qsbr, AThreadThatOnlyRetiresHoldsBackNoGracePeriod) {
+    QsbrDomain& dom = QsbrDomain::global();
+    dom.idle();  // this thread holds no references
+    const int before = Tracked::live.load();
+    std::atomic<int> stage{0};
+    std::thread r([&] {
+        reclaim::qsbr::retire(new Tracked(1));
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+    });
+    wait_for(stage, 1);
+    const std::uint64_t p = dom.current();
+    for (int i = 0; i < 2; ++i) {
+        dom.announce();
+        dom.collect();
+    }
+    EXPECT_EQ(dom.current(), p + 2) << "the retiring thread held the period";
+    stage.store(2, std::memory_order_release);
+    r.join();
+    reclaim::qsbr::drain();
+    dom.idle();
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
