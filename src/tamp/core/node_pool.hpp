@@ -5,9 +5,9 @@
 // out and recycles small nodes cheaply; this is tamp's stand-in for that
 // half of the collector (the other half, deciding *when* a node may be
 // recycled, is the reclamation domain's).  The split-ordered table
-// (tamp/hash/split_ordered.hpp) takes every node from it through a
-// class-level operator new/delete: its 16-byte sentinels from one size
-// class, its data nodes from another.
+// (tamp/hash/split_ordered.hpp) takes its data nodes from it through a
+// class-level operator new/delete; its sentinels live in its bucket
+// directory.
 //
 // Shape (perfbook's per-CPU resource-allocator cache, over Bonwick's
 // magazines):

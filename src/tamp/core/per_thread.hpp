@@ -2,8 +2,9 @@
 //
 // The per-thread store: one cell per dense thread id (thread_registry.hpp),
 // perfbook's per-thread variable (ch. 5) keyed by the book's ThreadID.  It
-// holds every tamp::obs counter, histogram and trace ring, and every
-// reclamation domain's thread records.
+// holds every tamp::obs counter, histogram and trace ring, every
+// reclamation domain's thread records, and each split-ordered table's
+// element counts and KV map's scan gates.
 //
 //  * a cell is allocated by its id's first local() and freed with the
 //    store.  Only the id's current owner allocates it or writes its

@@ -26,6 +26,7 @@
 
 #include "tamp/core/cacheline.hpp"
 #include "tamp/lists/keyed.hpp"
+#include "tamp/sim/atomic.hpp"
 
 namespace tamp {
 
@@ -40,11 +41,11 @@ class StripedCuckooHashSet {
 
     explicit StripedCuckooHashSet(std::size_t capacity = 16)
         : capacity_(round_up(capacity)),
-          stripes_(capacity_),
+          stripes_(round_up(capacity)),
           locks_{std::vector<Padded<StripeCell>>(stripes_),
                  std::vector<Padded<StripeCell>>(stripes_)} {
-        table_[0].assign(capacity_, {});
-        table_[1].assign(capacity_, {});
+        table_[0].assign(stripes_, {});
+        table_[1].assign(stripes_, {});
     }
 
     bool add(const T& v) {
@@ -110,7 +111,7 @@ class StripedCuckooHashSet {
         return present_unlocked(v);
     }
 
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return cap(); }
 
   private:
     struct StripeCell {
@@ -132,8 +133,12 @@ class StripedCuckooHashSet {
         return x ^ (x >> 32);
     }
 
+    std::size_t cap() const {
+        return capacity_.load(std::memory_order_relaxed);
+    }
+
     std::size_t slot(int row, const T& v) const {
-        return (row == 0 ? hash0(v) : hash1(v)) % capacity_;
+        return (row == 0 ? hash0(v) : hash1(v)) % cap();
     }
 
     /// Both stripes for v, row 0 first (global order ⇒ no deadlock).
@@ -226,12 +231,12 @@ class StripedCuckooHashSet {
     /// Quiesce by taking every stripe of both rows (row 0 first, matching
     /// TwoStripeGuard's order), then rebuild at double capacity.
     void resize() {
-        const std::size_t old_capacity = capacity_;
+        const std::size_t old_capacity = cap();
         std::vector<std::unique_lock<std::recursive_mutex>> held;
         held.reserve(2 * stripes_);
         for (auto& cell : locks_[0]) held.emplace_back(cell.value.mu);
         for (auto& cell : locks_[1]) held.emplace_back(cell.value.mu);
-        if (capacity_ != old_capacity) return;  // someone else resized
+        if (cap() != old_capacity) return;  // someone else resized
         std::vector<T> everything;
         for (int row = 0; row < 2; ++row) {
             for (auto& set : table_[row]) {
@@ -239,9 +244,9 @@ class StripedCuckooHashSet {
                 set.clear();
             }
         }
-        capacity_ *= 2;
-        table_[0].assign(capacity_, {});
-        table_[1].assign(capacity_, {});
+        capacity_.store(2 * old_capacity, std::memory_order_relaxed);
+        table_[0].assign(2 * old_capacity, {});
+        table_[1].assign(2 * old_capacity, {});
         for (const T& v : everything) {
             // Re-add under the held locks: direct placement, relocating
             // sequentially (we are alone).
@@ -272,7 +277,7 @@ class StripedCuckooHashSet {
         // Degenerate hash behaviour: grow again and retry.
         // (Practically unreachable with the avalanche mixes above.)
         std::vector<T> spill{item};
-        capacity_ *= 2;
+        capacity_.store(2 * cap(), std::memory_order_relaxed);
         std::vector<T> everything = std::move(spill);
         for (int r = 0; r < 2; ++r) {
             for (auto& s : table_[r]) {
@@ -280,12 +285,15 @@ class StripedCuckooHashSet {
                 s.clear();
             }
         }
-        table_[0].assign(capacity_, {});
-        table_[1].assign(capacity_, {});
+        table_[0].assign(cap(), {});
+        table_[1].assign(cap(), {});
         for (const T& x : everything) sequential_place(x);
     }
 
-    std::size_t capacity_;
+    // Written only under every stripe lock, and read under one except by
+    // resize()'s first look (re-checked under the locks) and capacity():
+    // atomic for those two, relaxed because the locks order the rest.
+    tamp::atomic<std::size_t> capacity_;
     const std::size_t stripes_;  // fixed at construction
     std::vector<Padded<StripeCell>> locks_[2];
     std::vector<std::vector<T>> table_[2];

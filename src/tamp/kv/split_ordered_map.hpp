@@ -6,30 +6,38 @@
 //
 //   * an in-place value — each node's slot is a `tamp::atomic<V>`, so a
 //     put on an existing key is one store, not a remove+insert;
-//   * linearizable scans — a packed writers/completed gate (see below)
-//     turns the classic non-atomic traversal into an atomic snapshot.
+//   * linearizable scans — per-thread gate words (see below) turn the
+//     classic non-atomic traversal into an atomic snapshot.
 //
-// Scan gate.  `gate_` packs two fields into one word: the low
-// kWriterBits count mutators currently between their decision to
-// mutate and the completion of that attempt ("writers in flight"); the
-// high bits count completed mutation attempts.  Every linearizing step
-// of a mutation — the insert's link CAS, the remove's mark CAS, the
-// update's in-place store — is bracketed by gate_enter()/gate_exit().
-// A scan loads the gate (s1), re-loads it after one full collect (s2),
-// and is atomic iff the writer field was zero at s1 and s1 == s2:
+// Scan gate.  A thread that mutates the map owns a gate word in its cell
+// of a per-thread store (core/per_thread.hpp) and is the word's only
+// writer.  Every linearizing step of a mutation — the insert's link CAS,
+// the remove's mark CAS, the update's in-place store — is bracketed by
+// gate_enter(), which makes the word odd, and gate_exit(), which makes it
+// even again, one higher: each word only grows.  A scan sums every cell's
+// word (s1), collects, and sums again (s2); it keeps the collect iff no
+// word was odd in the first sweep and s1 == s2.  Words only grow, so equal
+// sums mean each word read the same even value v in both sweeps, and the
+// collect shows each thread's attempts up to v and none after:
 //
-//   * a mutator in flight at s1 or s2 makes the writer field non-zero;
-//   * a mutator that entered and exited between them bumps the
-//     completed field — s1 != s2;
+//   * the attempts that made v completed before the first sweep read it:
+//     the exit store is release and the sweep acquires it, so their steps
+//     happen-before the collect, which sees them;
+//   * a later attempt enters before its step, and the step is a release
+//     the collect's loads would acquire, so a collect that saw it would
+//     make the second sweep read more than v.
 //
-// so an s1 == s2 collect overlapped no mutation and is a snapshot at
-// s1's position in the seq_cst order.  (A plain double-collect without
-// the gate is *not* linearizable: an insert+remove pair landing in the
-// already-traversed gap leaves both collects equal yet neither matches
-// any single instant.)  Sentinel installs and marked-node snips are
-// logical no-ops and skip the gate.  Scans are obstruction-free — they
-// starve only while writers keep arriving, and each retry is counted in
-// `tamp.kv.scan_retries` so a tail-latency sample can be attributed.
+// Each thread's attempts run one at a time, so that is a consistent cut:
+// no mutation overlapped the collect.  An attempt that completed before
+// the scan began is in it (exits and sweeps are seq_cst).  (A plain
+// double-collect without the gate is *not* linearizable: an insert+remove
+// pair landing in the already-traversed gap leaves both collects equal yet
+// neither matches any single instant.)  Writers write only their own
+// line; a scan reads every thread's.  Sentinel installs and marked-node
+// snips are logical no-ops and skip the gate.  Scans are
+// obstruction-free — they starve only while writers keep arriving, and
+// each retry is counted in `tamp.kv.scan_retries` so a tail-latency sample
+// can be attributed.
 
 #pragma once
 
@@ -42,6 +50,7 @@
 
 #include "tamp/core/backoff.hpp"
 #include "tamp/core/cacheline.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/hash/split_ordered.hpp"
 #include "tamp/lists/keyed.hpp"
 #include "tamp/obs/counter.hpp"
@@ -63,12 +72,8 @@ class SplitOrderedMap {
     using Node = typename Table::Node;
     using Guard = typename Domain::guard;
 
-    // Scan gate field layout (see header comment).
-    static constexpr std::uint64_t kWriterBits = 20;
-    static constexpr std::uint64_t kWriterMask =
-        (std::uint64_t{1} << kWriterBits) - 1;
-    static constexpr std::uint64_t kDoneInc = std::uint64_t{1}
-                                              << kWriterBits;
+    /// A thread's gate word (see the header comment), on a line of its own.
+    using Gate = Padded<tamp::atomic<std::uint64_t>>;
 
   public:
     using key_type = K;
@@ -84,15 +89,16 @@ class SplitOrderedMap {
     bool put(const K& k, const V& v) {
         Guard guard;
         sim::op_scope op("SplitOrderedMap::put");
-        const auto [node, inserted] = table_.insert(guard, k, gated(), v);
+        Gate& gate = gates_.local();
+        const auto [node, inserted] = table_.insert(guard, k, gated(gate), v);
         if (!inserted) {
             // In-place update: linearizes at the store (or, if a
             // concurrent remove marked the node first, just before that
             // mark — the stored value is then never observable, because
             // every reader re-checks the mark after loading).
-            gate_enter();
+            const std::uint64_t w = gate_enter(gate);
             node->slot.store(v, std::memory_order_release);
-            gate_exit();
+            gate_exit(gate, w);
         }
         return inserted;
     }
@@ -114,13 +120,13 @@ class SplitOrderedMap {
     bool del(const K& k) {
         Guard guard;
         sim::op_scope op("SplitOrderedMap::del");
-        return table_.remove(guard, k, gated());
+        return table_.remove(guard, k, gated(gates_.local()));
     }
 
     /// Atomic snapshot (see the gate protocol above).  Appends up to
     /// `limit` (key, value) pairs in split order (0 = the whole map)
     /// and returns the count.  A truncated collect is still a snapshot:
-    /// the gate pair brackets the traversal, so s1 == s2 with no writer
+    /// the gate sweeps bracket the traversal, so s1 == s2 with no writer
     /// in flight makes any *prefix* of the list a consistent cut — the
     /// collect stops early instead of gathering everything and
     /// discarding the rest.  Obstruction-free: retries while mutators
@@ -132,8 +138,9 @@ class SplitOrderedMap {
         Backoff backoff;
         const std::size_t base = out.size();
         for (;;) {
-            const std::uint64_t s1 = gate_.load(std::memory_order_seq_cst);
-            if ((s1 & kWriterMask) != 0) {
+            bool writing = false;
+            const std::uint64_t s1 = gate_sum(writing);
+            if (writing) {
                 obs::counter<obs::ev::kv_scan_retries>::inc();
                 backoff.backoff();
                 continue;
@@ -150,8 +157,7 @@ class SplitOrderedMap {
                 }
                 n = next;
             }
-            const std::uint64_t s2 = gate_.load(std::memory_order_seq_cst);
-            if (s1 == s2) return out.size() - base;
+            if (gate_sum(writing) == s1) return out.size() - base;
             obs::counter<obs::ev::kv_scan_retries>::inc();
             backoff.backoff();
         }
@@ -164,30 +170,45 @@ class SplitOrderedMap {
     }
 
   private:
-    void gate_enter() {
-        gate_.fetch_add(1, std::memory_order_seq_cst);
+    /// Make the caller's word odd; returns it, for gate_exit().  Relaxed:
+    /// the step that follows is a release (an acq_rel CAS or a release
+    /// store), and it carries the enter to any collect that sees the step.
+    static std::uint64_t gate_enter(Gate& gate) {
+        const std::uint64_t w = gate->load(std::memory_order_relaxed) + 1;
+        gate->store(w, std::memory_order_relaxed);
+        return w;
     }
-    void gate_exit() {
-        // -1 writer in flight, +1 completed attempt, in one RMW.
-        gate_.fetch_add(kDoneInc - 1, std::memory_order_seq_cst);
+    static void gate_exit(Gate& gate, std::uint64_t w) {
+        gate->store(w + 1, std::memory_order_seq_cst);
+    }
+
+    /// The sum of every thread's gate word; `writing` is set when one of
+    /// them is odd.
+    std::uint64_t gate_sum(bool& writing) const {
+        std::uint64_t sum = 0;
+        gates_.for_each([&](std::size_t, const Gate& gate) {
+            const std::uint64_t w = gate->load(std::memory_order_seq_cst);
+            writing = writing || (w & 1u) != 0;
+            sum += w;
+        });
+        return sum;
     }
 
     /// The step the table runs each linearizing CAS through (an
-    /// insert's link, a remove's mark): bracketed by the gate, and a
-    /// lost CAS counts one `kv.cas_retries`.
-    auto gated() {
-        return [this](auto cas) {
-            gate_enter();
+    /// insert's link, a remove's mark): bracketed by the caller's gate,
+    /// and a lost CAS counts one `kv.cas_retries`.
+    static auto gated(Gate& gate) {
+        return [&gate](auto cas) {
+            const std::uint64_t w = gate_enter(gate);
             const bool won = cas();
-            gate_exit();
+            gate_exit(gate, w);
             if (!won) obs::counter<obs::ev::kv_cas_retries>::inc();
             return won;
         };
     }
 
     Table table_;
-    // The gate is the scan/mutator rendezvous: its own line.
-    alignas(kCacheLineSize) tamp::atomic<std::uint64_t> gate_{0};
+    per_thread<Gate> gates_;
 };
 
 }  // namespace tamp::kv

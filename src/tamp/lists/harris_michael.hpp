@@ -12,7 +12,8 @@
 //
 // A list may link nodes of two types: sentinels of a base type that only
 // `make()` builds and nothing marks, and the data nodes that extend it
-// (the split-ordered table's).  insert() deletes an unpublished node, and
+// (the split-ordered table's).  insert() hands a node it built but never
+// published to the caller's `dispose` (by default it deletes it), and
 // returns the resident one, as `make()`'s type; snip() retires a node as
 // `Data`, the type of every node a remove marks (void: the list's own).
 //
@@ -41,6 +42,9 @@ struct Window {
     Node* pred;  // tamp-lint: allow(plain-shared-member)
     Node* curr;  // tamp-lint: allow(plain-shared-member)
 };
+
+/// insert()'s default disposal of a node it built but never published.
+inline constexpr auto kDeleteNode = [](auto* node) { delete node; };
 
 template <reclaim::domain Domain, typename Data = void>
 struct HarrisMichael {
@@ -88,16 +92,19 @@ struct HarrisMichael {
 
     /// Insert-or-find: the node holding the target, else `make()`'s node
     /// linked into the window.  Returns the resident node and whether
-    /// this call linked it; a present target is left untouched.
-    template <typename Node, typename Target, typename Make, typename Step>
+    /// this call linked it; a present target is left untouched, and a
+    /// node `make()` built for it goes to `dispose`.
+    template <typename Node, typename Target, typename Make, typename Step,
+              typename Dispose = decltype(kDeleteNode)>
     static std::pair<std::invoke_result_t<Make&>, bool> insert(
-        Guard& g, Node* start, const Target& t, Make make, Step step) {
+        Guard& g, Node* start, const Target& t, Make make, Step step,
+        Dispose dispose = kDeleteNode) {
         using Made = std::invoke_result_t<Make&>;
         Made node = nullptr;
         for (;;) {
             const Window<Node> w = find(g, start, t);
             if (w.curr != nullptr && t.matches(w.curr)) {
-                delete node;  // never published
+                if (node != nullptr) dispose(node);  // never published
                 return {static_cast<Made>(w.curr), false};
             }
             if (node == nullptr) node = make();

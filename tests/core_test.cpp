@@ -248,20 +248,18 @@ TEST(Concepts, LockGuardGuards) {
 
 // ------------------------------------------------------------- node pool
 
-// The KV map's data node, and the sentinel every table shares.
-// SplitOrderedHashSet<int>'s data node rounds up to the same 32-byte
-// block, so the tests below count both faces' nodes in these two pools
-// (not under TAMP_SIM, whose tamp::atomic is larger; this suite is not
-// run there).
+// The KV map's data node.  SplitOrderedHashSet<int>'s data node rounds up
+// to the same 32-byte block, so the tests below count both faces' nodes in
+// this pool; the tables' sentinels live in their directories (not under
+// TAMP_SIM, whose tamp::atomic is larger; this suite is not run there).
 using KvTable = detail::SplitOrderedTable<std::uint64_t,
                                           DefaultKeyOf<std::uint64_t>,
                                           reclaim::ebr,
                                           tamp::atomic<std::uint64_t>>;
 using KvNode = KvTable::Node;
 using Pool = NodePoolFor<KvNode>;
-using SentinelPool = NodePoolFor<KvTable::Link>;
 #if !TAMP_SIM
-static_assert(std::is_same_v<SentinelPool, NodePool<16>>);
+static_assert(sizeof(KvTable::Entry) == 24);
 static_assert(std::is_same_v<Pool, NodePool<32>>);
 #endif
 
@@ -392,7 +390,6 @@ TEST(NodePool, RefillsAfterATableIsFreedComeInAddressOrder) {
 TEST(NodePool, NodeFreedOnEbrThreadExitLandsInTheDepot) {
     reclaim::ebr::drain();
     const std::size_t base = Pool::in_use();
-    const std::size_t sentinels = SentinelPool::in_use();
     {
         SplitOrderedHashSet<int> set;
         std::atomic<int> stage{0};
@@ -413,17 +410,14 @@ TEST(NodePool, NodeFreedOnEbrThreadExitLandsInTheDepot) {
         EXPECT_EQ(reclaim::ebr::pending(), 0u) << "exit did not free";
     }
     EXPECT_EQ(Pool::in_use(), base);
-    EXPECT_EQ(SentinelPool::in_use(), sentinels);
 }
 
 TEST(NodePool, InUseReturnsToStartAfterTablesAreFreedAndDrained) {
     // Replaces LeakSanitizer, which does not see pooled nodes: every
-    // node a table allocated — sentinels, data nodes, nodes an insert
-    // built but lost to a rival — comes back through the destructor or
-    // the domain.
+    // data node a table allocated, nodes an insert built but lost to a
+    // rival included, comes back through the destructor or the domain.
     reclaim::ebr::drain();
     const std::size_t base = Pool::in_use();
-    const std::size_t sentinels = SentinelPool::in_use();
     {
         KvTable table(16, 4);
         {
@@ -454,12 +448,10 @@ TEST(NodePool, InUseReturnsToStartAfterTablesAreFreedAndDrained) {
             }
         });
         EXPECT_GT(Pool::in_use(), base);
-        EXPECT_GT(SentinelPool::in_use(), sentinels);
     }
     reclaim::ebr::drain();
     EXPECT_EQ(reclaim::ebr::pending(), 0u);
     EXPECT_EQ(Pool::in_use(), base);
-    EXPECT_EQ(SentinelPool::in_use(), sentinels);
 }
 
 #if TAMP_ASAN_ENABLED

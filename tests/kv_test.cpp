@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "tamp/core/thread_registry.hpp"
 #include "tamp/kv/kv.hpp"
 #include "tamp/reclaim/domain.hpp"
 #include "tamp/steal/pool.hpp"
@@ -173,6 +174,44 @@ TEST(KvMap, ResizeUnderChurnCountedDeleters) {
     // Map destroyed: drain the grace periods and balance the books.
     CountingEbr::drain();
     EXPECT_EQ(CountingEbr::freed.load(), CountingEbr::retired.load());
+}
+
+// Waves of short-lived threads insert and remove through one map.  A wave's
+// threads take the ids the previous wave released, so each continues the
+// count cells of an exited thread, and removes keys another thread's cell
+// counted in: a cell's net goes wherever the churn takes it, and only the
+// sum must come out right.
+TEST(KvMap, SizeStaysExactAcrossThreadChurn) {
+    constexpr std::size_t kWaves = 40;
+    constexpr std::uint64_t kBlock = 256;
+    const std::size_t threads = test_threads(4);
+    const auto key = [&](std::size_t wave, std::size_t t, std::uint64_t i) {
+        return (wave * threads + t) * kBlock + i;
+    };
+    U64Map map;
+    const std::size_t ids_before = tamp::thread_id_high_water_mark();
+    std::atomic<std::size_t> failed{0};
+    for (std::size_t wave = 0; wave < kWaves; ++wave) {
+        run_threads(threads, [&](std::size_t me) {
+            for (std::uint64_t i = 0; i < kBlock; ++i) {
+                if (!map.put(key(wave, me, i), i)) failed.fetch_add(1);
+            }
+            // Half of the next thread's block from the previous wave.
+            for (std::uint64_t i = 0; wave > 0 && i < kBlock; i += 2) {
+                if (!map.del(key(wave - 1, (me + 1) % threads, i))) {
+                    failed.fetch_add(1);
+                }
+            }
+        });
+    }
+    EXPECT_EQ(failed.load(), 0u);
+    // Each wave ran `threads` threads at once, on recycled ids.
+    EXPECT_LE(tamp::thread_id_high_water_mark(), ids_before + threads);
+    const std::size_t expected =
+        kWaves * threads * kBlock - (kWaves - 1) * threads * (kBlock / 2);
+    EXPECT_EQ(map.size(), expected);
+    Pairs out;
+    EXPECT_EQ(map.scan(out), expected);
 }
 
 TEST(KvStore, ShardRoutingAndConfig) {

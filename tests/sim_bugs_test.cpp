@@ -1483,6 +1483,263 @@ TEST(SimBugs, PoolRecycleInsideAWindowBreaksListOrder) {
     EXPECT_EQ(again.trace, res.trace);
 }
 
+// ===========================================================================
+// Bug 17 — a scan that validates only its own thread's gate word.
+// tamp::kv::SplitOrderedMap gives every mutating thread a gate word of its
+// own, odd while one of its linearizing steps is in flight, and a scan
+// sums every thread's word before and after its collect.  The seeded scan
+// reads only the word of the thread it runs on, which never mutates, so
+// it keeps every collect.  The writer puts 20 and then 30 behind a node
+// (25) already in the list: a collect that reads head's link before 20 is
+// linked passes 20's place, and it still reaches 30 through 25, so it
+// returns 30 without 20 although 20 was in the map before 30 was.
+// tests/sim_test.cpp's SimKv.ScanThatSeesALaterPutSeesTheEarlierOne runs
+// the same race on the real map.
+// ===========================================================================
+
+template <bool OwnWordOnly>
+struct GatedScanModel {
+    struct Node {
+        std::uint64_t key;
+        tamp::atomic<Node*> next{nullptr};
+    };
+    static constexpr int kWriter = 0, kScanner = 1, kTries = 3;
+
+    Node head{0};
+    Node mid{25};
+    Node data[2] = {{20}, {30}};
+    tamp::atomic<std::uint64_t> gate[2];  // one word per thread
+
+    GatedScanModel() { head.next.store(&mid, std::memory_order_relaxed); }
+
+    /// The writer's gated sorted insert of `n`.
+    void put(Node* n) {
+        for (;;) {
+            Node* pred = &head;
+            Node* curr = pred->next.load(std::memory_order_acquire);
+            while (curr != nullptr && curr->key < n->key) {
+                pred = curr;
+                curr = curr->next.load(std::memory_order_acquire);
+            }
+            n->next.store(curr, std::memory_order_relaxed);
+            const std::uint64_t w =
+                gate[kWriter].load(std::memory_order_relaxed) + 1;
+            gate[kWriter].store(w, std::memory_order_relaxed);
+            const bool won = pred->next.compare_exchange_strong(
+                curr, n, std::memory_order_acq_rel,
+                std::memory_order_acquire);
+            gate[kWriter].store(w + 1, std::memory_order_seq_cst);
+            if (won) return;
+        }
+    }
+
+    std::uint64_t sweep(bool& writing) {
+        std::uint64_t sum = 0;
+        // BUG (OwnWordOnly): the writer's word is never read.
+        for (int t = OwnWordOnly ? kScanner : kWriter; t <= kScanner; ++t) {
+            const std::uint64_t w = gate[t].load(std::memory_order_seq_cst);
+            writing = writing || (w & 1u) != 0;
+            sum += w;
+        }
+        return sum;
+    }
+
+    /// A kept collect's data keys as bits (1: 20, 2: 30), or -1 when
+    /// every try was turned away.
+    int scan() {
+        for (int attempt = 0; attempt < kTries; ++attempt) {
+            bool writing = false;
+            const std::uint64_t s1 = sweep(writing);
+            if (writing) continue;
+            int seen = 0;
+            for (Node* n = head.next.load(std::memory_order_acquire);
+                 n != nullptr; n = n->next.load(std::memory_order_acquire)) {
+                if (n->key == 20) seen |= 1;
+                if (n->key == 30) seen |= 2;
+            }
+            if (sweep(writing) == s1) return seen;
+        }
+        return -1;
+    }
+};
+
+template <bool OwnWordOnly>
+void gated_scan_body() {
+    auto m = std::make_shared<GatedScanModel<OwnWordOnly>>();
+    sim::thread writer([m] {
+        m->put(&m->data[0]);
+        m->put(&m->data[1]);
+    });
+    int seen = -1;
+    sim::thread scanner([m, &seen] { seen = m->scan(); });
+    writer.join();
+    scanner.join();
+    sim::assert_always(seen < 0 || (seen & 2) == 0 || (seen & 1) != 0,
+                       "a scan returned 30 without 20");
+}
+
+TEST(SimBugs, ScanValidatingOnlyItsOwnGateWordMissesAnEarlierPut) {
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto res = sim::explore(opts, gated_scan_body<true>);
+    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
+                         << " executions";
+    EXPECT_EQ(res.kind, sim::ViolationKind::kAssert);
+
+    const auto again = sim::replay(opts, res, gated_scan_body<true>);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.kind, res.kind);
+    EXPECT_EQ(again.trace, res.trace);
+}
+
+// The fixed twin — every thread's word in both sweeps, as the map does —
+// survives the same exploration exhaustively.
+TEST(SimBugs, ScanValidatingEveryGateWordPassesExhaustively) {
+    sim::ExploreOptions opts;
+    const auto res = sim::explore(opts, gated_scan_body<false>);
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+}
+
+// ===========================================================================
+// Bug 18 — bucket installers that build in the directory room without
+// claiming it.  tamp's split-ordered table keeps room for a bucket's
+// sentinel in the bucket's directory entry; the first installer claims it
+// by CASing the entry from null to a tag, and a later one builds its
+// sentinel on the heap.  The seeded installers skip the claim: both read
+// the entry null and build in the room.  Once the first has linked the
+// room's sentinel and hung its data node off it, the second, still on the
+// window it found before that link, re-stores the sentinel's next pointer
+// (Bug 11's murder weapon, reached through shared storage instead of an
+// early publish), and the first insert is gone.
+// ===========================================================================
+
+template <bool Claim>
+class RoomSplitTable {
+    struct Node {
+        std::uint64_t so_key = 0;
+        tamp::atomic<Node*> next{nullptr};
+    };
+
+  public:
+    RoomSplitTable() {
+        room_.so_key = kSentinel1;
+        for (Node& h : heap_) h.so_key = kSentinel1;
+    }
+
+    /// Insert a pre-split-ordered odd key that hashes to bucket 1.
+    void insert_via_bucket1(std::uint64_t so, Node* slot) {
+        slot->so_key = so;
+        list_insert(get_bucket1(), slot);
+    }
+
+    /// Is `so` reachable from the head sentinel?
+    bool contains(std::uint64_t so) {
+        for (Node* n = head_.next.load(std::memory_order_acquire);
+             n != nullptr; n = n->next.load(std::memory_order_acquire)) {
+            if (n->so_key == so) return true;
+        }
+        return false;
+    }
+
+    Node* data_slot(int i) { return &data_[i]; }
+
+  private:
+    static Node* claimed() {
+        return reinterpret_cast<Node*>(std::uintptr_t{1});
+    }
+
+    Node* get_bucket1() {
+        Node* s = bucket1_.load(std::memory_order_acquire);
+        if (s != nullptr && s != claimed()) return s;
+        Node* mine = &room_;
+        if constexpr (Claim) {
+            // Fixed (what tamp ships): claim the room, or build on the heap.
+            Node* seen = nullptr;
+            if (!bucket1_.compare_exchange_strong(
+                    seen, claimed(), std::memory_order_acq_rel,
+                    std::memory_order_acquire)) {
+                if (seen != claimed()) return seen;
+                mine = &heap_[heap_claims_.fetch_add(
+                    1, std::memory_order_relaxed)];
+            }
+        }
+        // BUG (!Claim): every installer that read null builds in the room.
+        Node* resident = list_insert(&head_, mine);
+        Node* expected = Claim ? claimed() : nullptr;
+        bucket1_.compare_exchange_strong(expected, resident,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire);
+        return resident;
+    }
+
+    /// Sorted insert from `start`; returns the resident node for the key.
+    Node* list_insert(Node* start, Node* node) {
+        for (;;) {
+            Node* pred = start;
+            Node* curr = pred->next.load(std::memory_order_acquire);
+            while (curr != nullptr && curr->so_key < node->so_key) {
+                pred = curr;
+                curr = curr->next.load(std::memory_order_acquire);
+            }
+            if (curr != nullptr && curr->so_key == node->so_key) {
+                return curr;
+            }
+            node->next.store(curr, std::memory_order_relaxed);
+            if (pred->next.compare_exchange_strong(
+                    curr, node, std::memory_order_release,
+                    std::memory_order_acquire)) {
+                return node;
+            }
+        }
+    }
+
+    static constexpr std::uint64_t kSentinel1 = std::uint64_t{1} << 63;
+
+    Node head_;
+    tamp::atomic<Node*> bucket1_{nullptr};
+    Node room_;
+    tamp::atomic<int> heap_claims_{0};
+    std::array<Node, 2> heap_{};
+    std::array<Node, 2> data_{};
+};
+
+template <bool Claim>
+void room_install_body() {
+    RoomSplitTable<Claim> t;
+    sim::thread a(
+        [&] { t.insert_via_bucket1(kSoKey3, t.data_slot(0)); });
+    sim::thread b(
+        [&] { t.insert_via_bucket1(kSoKey1, t.data_slot(1)); });
+    a.join();
+    b.join();
+    sim::assert_always(t.contains(kSoKey1) && t.contains(kSoKey3),
+                       "an unclaimed room's sentinel wiped an insert");
+}
+
+TEST(SimBugs, UnclaimedRoomSentinelLosesRivalInsert) {
+    sim::ExploreOptions opts;
+    opts.print_on_failure = false;
+    const auto res = sim::explore(opts, room_install_body<false>);
+    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
+                         << " executions";
+    EXPECT_EQ(res.kind, sim::ViolationKind::kAssert);
+
+    const auto again = sim::replay(opts, res, room_install_body<false>);
+    EXPECT_FALSE(again.ok);
+    EXPECT_EQ(again.kind, res.kind);
+    EXPECT_EQ(again.trace, res.trace);
+}
+
+// The fixed twin — claim the room, fall back to the heap — survives the
+// same exploration exhaustively.
+TEST(SimBugs, ClaimedRoomWithHeapFallbackPassesExhaustively) {
+    sim::ExploreOptions opts;
+    const auto res = sim::explore(opts, room_install_body<true>);
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+}
+
 }  // namespace
 
 #endif  // TAMP_SIM

@@ -1026,10 +1026,13 @@ using SimKvMap = tamp::kv::SplitOrderedMap<std::uint64_t, std::uint64_t,
 // through the recursion while inserter B hits it directly, and the
 // explorer drives every interleaving of the two installs (including
 // both threads building rival sentinels and one losing the publish
-// CAS).  If either inserter could see a published-but-unlinked
-// sentinel, its key would be linked behind a node unreachable from
-// head_ and the post-join reads would miss it
-// (tests/sim_bugs_test.cpp seeds exactly that twin).
+// CAS).  Only one of them can claim bucket 1's directory room, so the
+// other builds its sentinel on the heap: the explorer drives both the
+// claimed room and the heap fallback, either of which the list may take.
+// If either inserter could see a published-but-unlinked sentinel, its
+// key would be linked behind a node unreachable from head_ and the
+// post-join reads would miss it (tests/sim_bugs_test.cpp seeds exactly
+// that twin as Bug 11, and an unclaimed room as Bug 18).
 TEST(SimKv, RacingLazyBucketInitsSeeFullyLinkedSentinels) {
     sim::ExploreOptions opts;
     opts.max_executions = 20000;
@@ -1082,6 +1085,49 @@ TEST(SimKv, MapWithScansLinearizesUnderExploration) {
         sim::expect_linearizable<KvMapSpec>(rec);
     });
     EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_GT(res.executions, 1);
+}
+
+// One thread puts 2 and then 3 (2 sorts first in split order) while the
+// other scans.  The controller's get(3) installs buckets 1 and 3 first, so
+// the list holds sentinels beyond 2's place before either put: a collect
+// can read past 2's place before 2 is linked and still reach 3.  Only the
+// gate turns such a collect away, because the writer's word moved between
+// the sweeps.  KvMapSpec must hold, so a scan that returns 3 also returns
+// 2 (tests/sim_bugs_test.cpp's Bug 17, a scan that validates only its own
+// thread's word, fails exactly this check).
+TEST(SimKv, ScanThatSeesALaterPutSeesTheEarlierOne) {
+    using tamp::check::KvMapSpec;
+    sim::ExploreOptions opts;
+    opts.max_executions = 20000;
+    auto res = sim::explore(opts, [] {
+        SimKvMap map;
+        (void)map.get(3);
+        HistoryRecorder rec(2);
+        bool saw3 = false;
+        bool saw2 = false;
+        sim::thread writer([&] {
+            rec.record2(0, Op::kPut, 2, 20, [&] { return !map.put(2, 20); });
+            rec.record2(0, Op::kPut, 3, 30, [&] { return !map.put(3, 30); });
+        });
+        sim::thread scanner([&] {
+            rec.record(1, Op::kScan, 0, [&]() -> std::int64_t {
+                std::vector<std::pair<std::uint64_t, std::uint64_t>> buf;
+                map.scan(buf);
+                for (const auto& [k, v] : buf) {
+                    saw2 = saw2 || k == 2;
+                    saw3 = saw3 || k == 3;
+                }
+                return static_cast<std::int64_t>(KvMapSpec::fold(buf));
+            });
+        });
+        writer.join();
+        scanner.join();
+        sim::assert_always(!saw3 || saw2, "a scan returned 3 without 2");
+        sim::expect_linearizable<KvMapSpec>(rec);
+    });
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
     EXPECT_GT(res.executions, 1);
 }
 
