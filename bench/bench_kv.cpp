@@ -5,9 +5,9 @@
 // Three mixes (read-heavy 95/5, update-heavy 50/50, scan-mixed
 // 70/20/5/5) x two key distributions (Gray zipfian theta=0.99,
 // uniform); op latency lands in tamp.kv.op_ns and the attribution
-// counters (kv.resizes, kv.cas_retries, kv.scan_retries, kv.mu_wait_ns)
-// ride along, so a p999 spike can be pinned on a resize burst or a
-// contended stripe rather than guessed at.  The pipeline series
+// counters (kv.resizes, kv.cas_retries, kv.scan_retries) ride along, so
+// a p999 spike can be pinned on a resize burst or a retry storm rather
+// than guessed at.  The pipeline series
 // publishes tamp.kv.sojourn_ns — submit-to-completion, the number a
 // service SLO is actually written against.
 

@@ -8,11 +8,11 @@
 // ordering (coarse < fine < optimistic < lazy ≤ lock-free as concurrency
 // grows) is what EXPERIMENTS.md checks qualitatively.
 //
-// The lock-free list additionally runs as a 3-way SMR ladder
-// (BM_LockFreeHp/BM_LockFree/BM_LockFreeQsbr): the same Harris–Michael
-// algorithm instantiated over each reclaim::domain, isolating what the
-// reclamation substrate — per-hop hazard publication vs. per-op epoch pin
-// vs. QSBR's free read side — costs the structure that stresses it most.
+// The lock-free list additionally runs over both reclamation domains
+// (BM_LockFreeHp/BM_LockFree): the same Harris–Michael algorithm
+// instantiated over each reclaim::domain, isolating what the reclamation
+// substrate — per-hop hazard publication vs. per-op epoch pin — costs
+// the structure that stresses it most.
 
 #include <benchmark/benchmark.h>
 
@@ -84,9 +84,6 @@ void BM_LockFree_ReadHeavy(benchmark::State& s) {
 void BM_LockFreeHp_ReadHeavy(benchmark::State& s) {
     read_heavy<LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>>(s);
 }
-void BM_LockFreeQsbr_ReadHeavy(benchmark::State& s) {
-    read_heavy<LockFreeListSet<int, DefaultKeyOf<int>, reclaim::qsbr>>(s);
-}
 
 void BM_Coarse_UpdateHeavy(benchmark::State& s) {
     update_heavy<CoarseListSet<int>>(s);
@@ -106,9 +103,6 @@ void BM_LockFree_UpdateHeavy(benchmark::State& s) {
 void BM_LockFreeHp_UpdateHeavy(benchmark::State& s) {
     update_heavy<LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>>(s);
 }
-void BM_LockFreeQsbr_UpdateHeavy(benchmark::State& s) {
-    update_heavy<LockFreeListSet<int, DefaultKeyOf<int>, reclaim::qsbr>>(s);
-}
 
 TAMP_BENCH_THREADS(BM_Coarse_ReadHeavy);
 TAMP_BENCH_THREADS(BM_Fine_ReadHeavy);
@@ -116,14 +110,12 @@ TAMP_BENCH_THREADS(BM_Optimistic_ReadHeavy);
 TAMP_BENCH_THREADS(BM_Lazy_ReadHeavy);
 TAMP_BENCH_THREADS(BM_LockFree_ReadHeavy);
 TAMP_BENCH_THREADS(BM_LockFreeHp_ReadHeavy);
-TAMP_BENCH_THREADS(BM_LockFreeQsbr_ReadHeavy);
 TAMP_BENCH_THREADS(BM_Coarse_UpdateHeavy);
 TAMP_BENCH_THREADS(BM_Fine_UpdateHeavy);
 TAMP_BENCH_THREADS(BM_Optimistic_UpdateHeavy);
 TAMP_BENCH_THREADS(BM_Lazy_UpdateHeavy);
 TAMP_BENCH_THREADS(BM_LockFree_UpdateHeavy);
 TAMP_BENCH_THREADS(BM_LockFreeHp_UpdateHeavy);
-TAMP_BENCH_THREADS(BM_LockFreeQsbr_UpdateHeavy);
 
 }  // namespace
 

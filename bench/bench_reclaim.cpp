@@ -1,12 +1,9 @@
 // bench_reclaim — ablation for the reclamation substrate (DESIGN.md's
-// substitution table): what do hazard pointers, epochs and QSBR cost
-// relative to no protection at all?
+// substitution table): what do hazard pointers and epochs cost relative
+// to no protection at all?
 //
-//  * read-side: protect-and-read a stable pointer, the 3-way SMR ladder
-//    (HP pays a fence per pointer; EBR pays a pin — two TLS writes — per
-//    operation; QSBR's read side is TLS arithmetic only, the closest any
-//    scheme gets to the GC'd-Java baseline the book's code implicitly
-//    enjoys);
+//  * read-side: protect-and-read a stable pointer (HP publishes per
+//    pointer; EBR pays a pin — two TLS writes — per operation);
 //  * churn: allocate/retire cycles through each domain;
 //  * the collector's membarrier, to its caller and to busy siblings.
 
@@ -99,31 +96,10 @@ void BM_ReadEpochPinned(benchmark::State& state) {
     tamp_bench::latency_publish(state);
 }
 
-void BM_ReadQsbr(benchmark::State& state) {
-    // The QSBR read side: no per-pointer publication, no pin — the guard
-    // is thread-local nesting arithmetic, with a rate-limited quiescence
-    // report at the op boundary.  tamp.qsbr.quiescences counts how often
-    // that report actually fires.
-    Shared<SharedBox>::setup(state);
-    tamp_bench::counters_begin(state);
-    tamp_bench::latency_begin(state);
-    for (auto _ : state) {
-        QsbrReadGuard g;
-        Box* b = Shared<SharedBox>::instance->ptr.load(
-            std::memory_order_acquire);
-        benchmark::DoNotOptimize(b->payload);
-    }
-    state.SetItemsProcessed(state.iterations());
-    Shared<SharedBox>::teardown(state);
-    tamp_bench::counters_publish(state);
-    tamp_bench::latency_publish(state);
-}
-
 TAMP_BENCH_THREADS(BM_ReadUnprotected);
 TAMP_BENCH_THREADS(BM_ReadHazardProtected);
 TAMP_BENCH_THREADS(BM_ReadHazardSlotReused);
 TAMP_BENCH_THREADS(BM_ReadEpochPinned);
-TAMP_BENCH_THREADS(BM_ReadQsbr);
 
 void BM_ChurnHazardRetire(benchmark::State& state) {
     tamp_bench::counters_begin(state);
@@ -150,21 +126,6 @@ void BM_ChurnEpochRetire(benchmark::State& state) {
     tamp_bench::counters_publish(state);
     tamp_bench::latency_publish(state);
 }
-void BM_ChurnQsbrRetire(benchmark::State& state) {
-    tamp_bench::counters_begin(state);
-    tamp_bench::latency_begin(state);
-    for (auto _ : state) {
-        // The guard's exit is the quiescence source, exactly as in a
-        // templated structure; retire triggers collects at threshold.
-        QsbrReadGuard g;
-        reclaim::qsbr::retire(new Box());
-    }
-    tamp_bench::quiesce(state);
-    if (state.thread_index() == 0) reclaim::qsbr::drain();
-    state.SetItemsProcessed(state.iterations());
-    tamp_bench::counters_publish(state);
-    tamp_bench::latency_publish(state);
-}
 void BM_ChurnPlainDelete(benchmark::State& state) {
     for (auto _ : state) {
         Box* b = new Box();
@@ -175,7 +136,6 @@ void BM_ChurnPlainDelete(benchmark::State& state) {
 }
 TAMP_BENCH_THREADS(BM_ChurnHazardRetire);
 TAMP_BENCH_THREADS(BM_ChurnEpochRetire);
-TAMP_BENCH_THREADS(BM_ChurnQsbrRetire);
 TAMP_BENCH_THREADS(BM_ChurnPlainDelete);
 
 // BM_HeavyBarrier/<siblings>: what one collector barrier
@@ -184,7 +144,7 @@ TAMP_BENCH_THREADS(BM_ChurnPlainDelete);
 // time — and each of 0–3 sibling threads spinning on private work.
 // `sibling_lost_ns` is the work one sibling loses per barrier: its spin
 // rate while the caller issues barriers back to back, against its rate
-// while the caller sleeps.  GracePeriodDomain::kCollectThreshold is sized
+// while the caller sleeps.  EpochDomain::kCollectThreshold is sized
 // from these two numbers.
 void BM_HeavyBarrier(benchmark::State& state) {
     asym::init();

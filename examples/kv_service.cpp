@@ -5,11 +5,10 @@
 //   ./build/examples/kv_service
 //
 // A sharded KV store (split-ordered maps behind a power-of-two router)
-// serving a YCSB-style zipfian mix three ways: direct closed-loop
-// calls, an atomic cross-key transfer via multi_update, and an
-// open-loop request pipeline over the work-stealing pool.  Built with
-// -DTAMP_STATS=ON the final section prints the tamp.kv.* counters the
-// benchmarks use to attribute tail latency.
+// serving a YCSB-style zipfian mix two ways: direct closed-loop calls
+// and an open-loop request pipeline over the work-stealing pool.  Built
+// with -DTAMP_STATS=ON the final section prints the tamp.kv.* counters
+// the benchmarks use to attribute tail latency.
 
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +32,6 @@ int main() {
 
     tamp::kv::Config scfg;
     scfg.shards = 4;
-    scfg.stripes = 32;
     Store store(scfg);
 
     // --- 1. Preload + closed-loop zipfian read-heavy traffic. ----------
@@ -48,35 +46,7 @@ int main() {
     std::printf("preloaded %zu keys across %zu shards, ran %zu ops\n",
                 store.size(), store.shards(), done);
 
-    // --- 2. Atomic cross-key update through the stripe locks. ----------
-    banner("multi_update: cross-key writes land as a unit");
-    {
-        // Four threads stamp their own tag onto BOTH keys in one
-        // multi_update.  The stripes serialize the pairs, so however
-        // the stamps interleave, the two keys always end up equal — a
-        // torn pair would mean one thread's write landed mid-another's.
-        const std::uint64_t a = 11, b = 97;
-        std::vector<std::thread> ts;
-        for (std::uint64_t t = 0; t < 4; ++t) {
-            ts.emplace_back([&store, a, b, t] {
-                for (std::uint64_t i = 0; i < 1000; ++i) {
-                    const std::uint64_t tag = (t << 32) | i;
-                    store.multi_update({{a, tag}, {b, tag}});
-                }
-            });
-        }
-        for (auto& t : ts) t.join();
-        const std::uint64_t va = store.get(a).value_or(0);
-        const std::uint64_t vb = store.get(b).value_or(0);
-        std::printf("key %llu = %llx, key %llu = %llx (%s)\n",
-                    static_cast<unsigned long long>(a),
-                    static_cast<unsigned long long>(va),
-                    static_cast<unsigned long long>(b),
-                    static_cast<unsigned long long>(vb),
-                    va == vb ? "atomic" : "TORN");
-    }
-
-    // --- 3. Open loop: producers -> MS-queue lanes -> pool drainers. ---
+    // --- 2. Open loop: producers -> MS-queue lanes -> pool drainers. ---
     banner("open loop: 2 producers into 2 lanes over the pool");
     {
         tamp::WorkStealingPool pool(2);
@@ -102,7 +72,7 @@ int main() {
                     40000u);
     }
 
-    // --- 4. Telemetry (needs -DTAMP_STATS=ON). -------------------------
+    // --- 3. Telemetry (needs -DTAMP_STATS=ON). -------------------------
     banner("tamp.kv.* telemetry");
     const auto counters = tamp::obs::snapshot();
     bool any = false;

@@ -80,8 +80,8 @@ class NodePool {
     static constexpr std::size_t kSlabBytes = std::size_t{64} << 10;
     /// Bytes per run the depot maps, and its alignment: a huge page.
     static constexpr std::size_t kRunBytes = std::size_t{2} << 20;
-    /// Block pointers per magazine: one grace-period batch (EBR and QSBR
-    /// attempt a grace period per 1024 retires), so a thread's magazines
+    /// Block pointers per magazine: one grace-period batch (EBR attempts
+    /// a grace period per 1024 retires), so a thread's magazines
     /// absorb the frees of an aged batch and its next inserts take them
     /// back without the depot's lock.  At 64 the KV churn workload
     /// flushed and refilled every few dozen operations under the lock,

@@ -111,7 +111,7 @@ template <std::totally_ordered K, typename KeyOf, reclaim::domain Domain,
 class SplitOrderedTable {
     static_assert(!Domain::kProtects,
                   "split-ordered traversals publish no per-pointer "
-                  "protection; use a grace-period domain (ebr/qsbr)");
+                  "protection; use reclaim::ebr");
 
     static constexpr std::size_t kSegment0Bits = 4;
     static constexpr std::size_t kSegment0Size = std::size_t{1}

@@ -12,8 +12,8 @@
 // Reclamation: unlinked nodes may still be read by in-flight traversals,
 // so removals retire through the pluggable domain (EBR by default) and
 // every operation runs under its guard.  The unlocked traversals hold no
-// per-pointer state, so only grace-period domains (EBR/QSBR) apply —
-// enforced at compile time below.
+// per-pointer state, so only EBR applies — enforced at compile time
+// below.
 
 #pragma once
 
@@ -33,7 +33,7 @@ template <std::totally_ordered T, typename KeyOf = DefaultKeyOf<T>,
 class LazyListSet {
     static_assert(!Domain::kProtects,
                   "LazyListSet's unlocked traversals publish no per-pointer "
-                  "protection; use a grace-period domain (ebr/qsbr)");
+                  "protection; use reclaim::ebr");
     struct Node {
         // Immutable once constructed — traversals read them unlocked, and
         // const is what makes that race-free by construction.

@@ -5,18 +5,18 @@
 // word (AtomicMarkedPtr).  find/add/remove are the shared core in
 // tamp/lists/harris_michael.hpp, which the split-ordered table runs too;
 // this file supplies the book's node order — (hash, value), head and tail
-// sentinels — and contains(), wait-free under a grace-period domain: one
-// traversal, check the mark.
+// sentinels — and contains(), wait-free under EBR: one traversal, check
+// the mark.
 //
 // Reclamation is pluggable (tamp/reclaim/domain.hpp): the set is templated
 // on a reclaim::domain, EBR by default — the traversal-heavy access
 // pattern is where a per-operation guard wins, and `bench_reclaim` /
-// `bench_lists` quantify the 3-way HP/EBR/QSBR ladder.  Under a
-// protecting domain (hazard pointers) find() becomes Michael's rotating
-// two-hazard search, whose per-hop re-validation also forces contains()
-// to run through find(), so HP trades the book's wait-free membership
-// test for lock-freedom; grace-period domains (EBR/QSBR) compile the
-// protection hooks away entirely and keep the original code paths.
+// `bench_lists` price it against hazard pointers.  Under a protecting
+// domain (HP) find() becomes Michael's rotating two-hazard search, whose
+// per-hop re-validation also forces contains() to run through find(), so
+// HP trades the book's wait-free membership test for lock-freedom; EBR
+// compiles the protection hooks away entirely and keeps the original
+// code paths.
 
 #pragma once
 

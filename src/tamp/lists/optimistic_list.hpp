@@ -10,7 +10,7 @@
 // unlinked nodes remaining safe to read and lock — the book's "we rely on
 // garbage collection" moment.  Operations therefore run under the
 // pluggable reclamation domain's guard (EBR by default) and removals
-// retire through it; only grace-period domains apply (see static_assert).
+// retire through it; only EBR applies (see static_assert).
 
 #pragma once
 
@@ -28,8 +28,7 @@ template <std::totally_ordered T, typename KeyOf = DefaultKeyOf<T>,
 class OptimisticListSet {
     static_assert(!Domain::kProtects,
                   "OptimisticListSet's unlocked traversals publish no "
-                  "per-pointer protection; use a grace-period domain "
-                  "(ebr/qsbr)");
+                  "per-pointer protection; use reclaim::ebr");
     struct Node {
         // Immutable once constructed — traversals read them unlocked, and
         // const is what makes that race-free by construction.

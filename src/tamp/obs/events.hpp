@@ -69,7 +69,7 @@ struct reclaim_membarriers {  // heavy barriers issued by scans/collects
     static constexpr const char* name = "reclaim.membarriers";
 };
 
-// --- epoch reclamation (reclaim/grace_period.cpp, EbrPolicy) ------------
+// --- epoch reclamation (reclaim/epoch.cpp) ------------------------------
 struct epoch_retired {
     static constexpr const char* name = "epoch.retired";
 };
@@ -84,26 +84,6 @@ struct epoch_shared {  // batches served by another thread's advance
 };
 struct epoch_advances {
     static constexpr const char* name = "epoch.advances";
-};
-
-// --- quiescent-state reclamation (reclaim/grace_period.cpp, QsbrPolicy) -
-struct qsbr_retired {
-    static constexpr const char* name = "qsbr.retired";
-};
-struct qsbr_freed {
-    static constexpr const char* name = "qsbr.freed";
-};
-struct qsbr_collects {  // collects that ran the barrier and straggler check
-    static constexpr const char* name = "qsbr.collects";
-};
-struct qsbr_shared {  // batches served by another thread's advance
-    static constexpr const char* name = "qsbr.shared";
-};
-struct qsbr_advances {
-    static constexpr const char* name = "qsbr.advances";
-};
-struct qsbr_quiescences {  // quiescence points reported (the read-side cost)
-    static constexpr const char* name = "qsbr.quiescences";
 };
 
 // --- elimination stack (stacks/elimination.hpp) -------------------------
@@ -165,8 +145,8 @@ struct stm_aborts_rival {  // obstruction-free: a rival aborted us
 
 // --- KV service (kv/split_ordered_map.hpp, kv/kv_store.hpp) -------------
 // The composition counters: when a p999 sample in BENCH_kv.json needs a
-// cause, these attribute it to resize traffic, CAS retries, or cross-key
-// lock waits (the mu_wait_ns histogram below carries the lock-wait time).
+// cause, these attribute it to resize traffic, CAS retries or scan
+// retries.
 struct kv_gets {
     static constexpr const char* name = "kv.gets";
 };
@@ -181,9 +161,6 @@ struct kv_dels {
 };
 struct kv_scans {
     static constexpr const char* name = "kv.scans";
-};
-struct kv_multi_updates {
-    static constexpr const char* name = "kv.multi_updates";
 };
 struct kv_cas_retries {  // failed link/mark CAS attempts across map ops
     static constexpr const char* name = "kv.cas_retries";
@@ -215,9 +192,6 @@ struct hp_scan_ns {  // one HazardDomain::scan(): the reclaim "stall"
 };
 struct epoch_collect_ns {  // one EpochDomain barrier collect, frees excluded
     static constexpr const char* name = "epoch.collect_ns";
-};
-struct qsbr_collect_ns {  // one QsbrDomain barrier collect, frees excluded
-    static constexpr const char* name = "qsbr.collect_ns";
 };
 
 // --- lock-free op latency (sampled 1/16 — see obs/timer.hpp) ------------
@@ -255,9 +229,6 @@ struct stm_abort_rival_ns {
 // --- KV service latency (kv/, sampled via obs/timer.hpp) ----------------
 struct kv_op_ns {  // one KvStore get/put/del/scan, end to end
     static constexpr const char* name = "kv.op_ns";
-};
-struct kv_mu_wait_ns {  // multi_update: stripe-lock acquisition wait
-    static constexpr const char* name = "kv.mu_wait_ns";
 };
 struct kv_sojourn_ns {  // open-loop pipeline: submit -> reply (queue + svc)
     static constexpr const char* name = "kv.sojourn_ns";

@@ -16,10 +16,9 @@
 // cannot have been retired while it was still reachable from the
 // unchanged head).  The ABA discussion of §10.6 is resolved here by HP
 // itself: a node's address can only be recycled into the queue after no
-// hazard names it.  Under a grace-period domain (EBR/QSBR) the publish
-// hooks compile away and the guard alone keeps every reachable node
-// alive; the head re-check stays — it is the queue's own consistency
-// check, not just HP validation.
+// hazard names it.  Under EBR the publish hooks compile away and the
+// guard alone keeps every reachable node alive; the head re-check stays —
+// it is the queue's own consistency check, not just HP validation.
 
 #pragma once
 

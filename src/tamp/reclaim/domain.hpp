@@ -2,20 +2,20 @@
 //
 // The unified SMR policy surface: `tamp::reclaim::domain` is the
 // compile-time concept a structure is templated on to pick its
-// reclamation substrate, and reclaim::hp / reclaim::ebr / reclaim::qsbr
-// are the three adapters over the existing domains (perfbook's ladder —
-// hazard pointers, epochs, quiescent-state reclamation).
+// reclamation substrate, and reclaim::hp / reclaim::ebr are the two
+// adapters over the existing domains (the book's GC substitutes —
+// hazard pointers and epochs).
 //
 // Shape of a domain D:
 //
 //   D::kProtects        compile-time bool: does the substrate need
 //                       per-pointer protection?  true for hazard
 //                       pointers (publish + re-validate before every
-//                       dereference); false for EBR/QSBR, whose guard
-//                       gives a stable view of everything reachable.
-//                       Structures branch on it with `if constexpr`, so
-//                       the grace-period instantiations compile to
-//                       exactly the pre-refactor code.
+//                       dereference); false for EBR, whose guard gives a
+//                       stable view of everything reachable.  Structures
+//                       branch on it with `if constexpr`, so the EBR
+//                       instantiations compile to exactly the
+//                       pre-refactor code.
 //   D::guard            RAII read-side section.  One per operation; a
 //                       thread holds at most one HP guard at a time.
 //                         g.protect<I>(atomic_ptr) -> T*   slot I: load,
@@ -23,12 +23,10 @@
 //                         g.set<I>(ptr)                    slot I: publish
 //                           a pointer the caller re-validates itself
 //                         g.clear<I>()                     drop slot I
-//                       Under EBR/QSBR these are plain acquire loads /
-//                       no-ops, inlined away.
+//                       Under EBR these are plain acquire loads / no-ops,
+//                       inlined away.
 //   D::retire(p, del)   hand an unlinked node to the substrate
 //   D::retire(p)        same, with the default deleter
-//   D::quiescent()      declare "this thread holds no references" — the
-//                       QSBR contract point; no-op for HP/EBR
 //   D::pending()        nodes awaiting reclamation (tests/benches)
 //   D::drain()          reclaim everything reclaimable at quiescence
 //   D::name()           for bench labels and diagnostics
@@ -43,10 +41,10 @@
 // These adapters are the only front end to reclamation: structures,
 // tests and benchmarks protect and retire through them, and reach the
 // domain classes only for engine steps the adapters do not expose
-// (HazardDomain::scan, GracePeriodDomain::collect/announce/idle).  The
+// (HazardDomain::scan, EpochDomain::collect/announce/idle).  The
 // `direct-reclaim-include` lint rule (tools/lint_atomics.py) keeps
-// structure headers from including a backend (epoch, grace_period,
-// hazard_pointers, qsbr) directly.
+// structure headers from including a backend (epoch, hazard_pointers)
+// directly.
 
 #pragma once
 
@@ -56,7 +54,6 @@
 #include "tamp/reclaim/asym_fence.hpp"
 #include "tamp/reclaim/epoch.hpp"
 #include "tamp/reclaim/hazard_pointers.hpp"
-#include "tamp/reclaim/qsbr.hpp"
 #include "tamp/reclaim/retired_node.hpp"
 
 namespace tamp::reclaim {
@@ -71,7 +68,6 @@ concept domain =
     requires(void* p, void (*del)(void*)) {
         { D::kProtects } -> std::convertible_to<bool>;
         D::retire(p, del);
-        D::quiescent();
         { D::pending() } -> std::convertible_to<std::size_t>;
         D::drain();
         { D::name() } -> std::convertible_to<const char*>;
@@ -159,22 +155,17 @@ struct hp {
     static void retire(T* p) {
         retire(p, reclaim_detail::delete_as<T>);
     }
-    static void quiescent() {}
     static std::size_t pending() { return HazardDomain::global().pending(); }
     static void drain() { HazardDomain::global().drain(); }
     static constexpr const char* name() { return "hp"; }
 };
 
-// ---------------------------------------------------------- ebr, qsbr ---
+// --------------------------------------------------------------- ebr ---
 
-/// The grace-period domains: the guard is the scheme's read section —
-/// EpochGuard pins the epoch; QsbrReadGuard is thread-local nesting
-/// arithmetic (no store, no fence) whose outermost exit reports a
-/// quiescence point once every QsbrReadGuard::kQuiescePeriod operations.
-/// Either makes everything reachable during the operation safe to read,
-/// so protection is a plain load.
-template <typename Policy, typename ReadSection>
-struct grace_period {
+/// Epoch-based reclamation: the guard pins the epoch (EpochGuard), which
+/// makes everything reachable during the operation safe to read, so
+/// protection is a plain load.
+struct ebr {
     static constexpr bool kProtects = false;
 
     class guard {
@@ -198,34 +189,22 @@ struct grace_period {
         }
 
       private:
-        ReadSection read_section_;
+        EpochGuard pin_;
     };
 
     static void retire(void* p, void (*deleter)(void*)) {
-        GracePeriodDomain<Policy>::global().retire(p, deleter);
+        EpochDomain::global().retire(p, deleter);
     }
     template <typename T>
     static void retire(T* p) {
         retire(p, reclaim_detail::delete_as<T>);
     }
-    static void quiescent() {
-        if constexpr (Policy::kRegistersOnline) {
-            GracePeriodDomain<Policy>::global().announce();
-        }
-    }
-    static std::size_t pending() {
-        return GracePeriodDomain<Policy>::global().pending();
-    }
-    static void drain() { GracePeriodDomain<Policy>::global().drain(); }
-    static constexpr const char* name() { return Policy::kName; }
+    static std::size_t pending() { return EpochDomain::global().pending(); }
+    static void drain() { EpochDomain::global().drain(); }
+    static constexpr const char* name() { return "ebr"; }
 };
-
-// Named types, not aliases: diagnostics and test names print them.
-struct ebr : grace_period<EbrPolicy, EpochGuard> {};
-struct qsbr : grace_period<QsbrPolicy, QsbrReadGuard> {};
 
 static_assert(domain<hp>);
 static_assert(domain<ebr>);
-static_assert(domain<qsbr>);
 
 }  // namespace tamp::reclaim

@@ -1,19 +1,21 @@
-#include "tamp/reclaim/grace_period.hpp"
+#include "tamp/reclaim/epoch.hpp"
 
 #include <algorithm>
 #include <cstddef>
 #include <limits>
 
+#include "tamp/obs/counter.hpp"
+#include "tamp/obs/events.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/obs/trace.hpp"
-#include "tamp/reclaim/epoch.hpp"
-#include "tamp/reclaim/qsbr.hpp"
 
 namespace tamp {
 
 namespace {
 
 using reclaim_detail::RetiredNode;
+using Bucket = EpochDomain::Bucket;
+using Record = EpochDomain::Record;
 
 constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
 
@@ -23,7 +25,6 @@ constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
 // every such thread has announced again (having dropped the reference)
 // or gone idle — so at t+2 nobody holds it.  The rule reads only the
 // period value, so it holds whichever thread advanced it.
-template <typename Bucket>
 bool aged(const Bucket& b, std::uint64_t now) {
     return b.period + 2 <= now;
 }
@@ -42,7 +43,6 @@ void make_ready(std::vector<RetiredNode>& ready,
 
 // Move every bucket of `rec` whose grace period has passed by `now` to
 // its ready list.
-template <typename Record>
 void age(Record& rec, std::uint64_t now) {
     for (auto& b : rec.buckets) {
         if (aged(b, now)) make_ready(rec.ready, b.nodes);
@@ -51,7 +51,6 @@ void age(Record& rec, std::uint64_t now) {
 
 // Free up to `limit` nodes from the ready list.  Each node leaves the
 // list before its deleter runs: a deleter may retire, and so append.
-template <typename Record>
 std::size_t free_ready(Record& rec, std::size_t limit) {
     std::size_t n = 0;
     for (; n < limit && !rec.ready.empty(); ++n) {
@@ -62,7 +61,6 @@ std::size_t free_ready(Record& rec, std::size_t limit) {
     return n;
 }
 
-template <typename Record>
 void publish_pending(Record& rec) {
     std::size_t n = rec.ready.size();
     for (const auto& b : rec.buckets) n += b.nodes.size();
@@ -71,26 +69,23 @@ void publish_pending(Record& rec) {
 
 }  // namespace
 
-template <typename P>
-GracePeriodDomain<P>::GracePeriodDomain() {
+EpochDomain::EpochDomain() {
     asym::init();
     add_thread_exit_hook(ExitOrder::kReclaim, &on_exit, this);
 }
 
-template <typename P>
-GracePeriodDomain<P>::~GracePeriodDomain() {
+EpochDomain::~EpochDomain() {
     remove_thread_exit_hook(&on_exit, this);
 }
 
-template <typename P>
-void GracePeriodDomain<P>::on_exit(void* self, std::size_t tid) {
-    auto& dom = *static_cast<GracePeriodDomain*>(self);
+void EpochDomain::on_exit(void* self, std::size_t tid) {
+    auto& dom = *static_cast<EpochDomain*>(self);
     Record* rec = dom.records_.find(tid);
     if (rec == nullptr) return;
     // What has aged is safe to free now; only young buckets are orphaned.
     // Outside the lock: a deleter may retire, and a retire may collect.
     age(*rec, dom.current());
-    obs::counter<typename P::freed>::inc(free_ready(*rec, kAll));
+    obs::counter<obs::ev::epoch_freed>::inc(free_ready(*rec, kAll));
     std::lock_guard<std::mutex> guard(dom.mu_);
     for (Bucket& b : rec->buckets) {
         if (b.nodes.empty()) continue;
@@ -99,15 +94,10 @@ void GracePeriodDomain<P>::on_exit(void* self, std::size_t tid) {
     }
     publish_pending(*rec);
     idle(*rec);
-    rec->attached = false;
 }
 
-template <typename P>
-void GracePeriodDomain<P>::retire(void* p, void (*deleter)(void*)) {
-    // Not record(): a retire outside a read section holds no references,
-    // and attaching (announcing) a thread that only retires would make it
-    // gate every grace period until it announces, idles or exits.
-    Record& rec = records_.local();
+void EpochDomain::retire(void* p, void (*deleter)(void*)) {
+    Record& rec = record();
     // The retirer's accesses to *p happen-before the eventual free two
     // periods later.  The grace-period argument rides on the
     // announce/advance protocol, which TSan cannot follow onto `p`
@@ -122,27 +112,26 @@ void GracePeriodDomain<P>::retire(void* p, void (*deleter)(void*)) {
         b.period = now;
     }
     b.nodes.push_back(RetiredNode{p, deleter});
-    obs::counter<typename P::retired>::inc();
+    obs::counter<obs::ev::epoch_retired>::inc();
     if (++rec.since_collect >= kCollectThreshold) {
         rec.since_collect = 0;
         if (now > rec.collected_at) {
             // Another thread advanced the period since this thread's last
             // attempt: that grace period serves this batch too.
-            obs::counter<typename P::shared>::inc();
+            obs::counter<obs::ev::epoch_shared>::inc();
             rec.collected_at = now;
             age(rec, now);
         } else {
             age(rec, advance(rec));
         }
     }
-    obs::counter<typename P::freed>::inc(free_ready(rec, kFreeBatch));
+    obs::counter<obs::ev::epoch_freed>::inc(free_ready(rec, kFreeBatch));
     publish_pending(rec);
 }
 
-template <typename P>
-std::uint64_t GracePeriodDomain<P>::advance(Record& rec) {
-    obs::scoped_timer<typename P::collect_ns> collect_latency;
-    obs::counter<typename P::collects>::inc();
+std::uint64_t EpochDomain::advance(Record& rec) {
+    obs::scoped_timer<obs::ev::epoch_collect_ns> collect_latency;
+    obs::counter<obs::ev::epoch_collects>::inc();
     const std::uint64_t now = period_.load(std::memory_order_seq_cst);
     // Make every announcement visible before judging stragglers
     // (membarrier under the asymmetric protocol; the fallback's
@@ -164,10 +153,8 @@ std::uint64_t GracePeriodDomain<P>::advance(Record& rec) {
         if (period_.compare_exchange_strong(cur, now + 1,
                                             std::memory_order_seq_cst)) {
             cur = now + 1;
-            obs::counter<typename P::advances>::inc();
-            if constexpr (P::kTracesAdvance) {
-                obs::trace(obs::trace_ev::kEpochAdvance, cur);
-            }
+            obs::counter<obs::ev::epoch_advances>::inc();
+            obs::trace(obs::trace_ev::kEpochAdvance, cur);
         }
     }
     // Every attempt, batched or explicit, starts the caller's next batch.
@@ -189,53 +176,24 @@ std::uint64_t GracePeriodDomain<P>::advance(Record& rec) {
     return cur;
 }
 
-template <typename P>
-void GracePeriodDomain<P>::collect() {
+void EpochDomain::collect() {
     Record& rec = record();
     age(rec, advance(rec));
-    obs::counter<typename P::freed>::inc(free_ready(rec, kAll));
+    obs::counter<obs::ev::epoch_freed>::inc(free_ready(rec, kAll));
     publish_pending(rec);
 }
 
-template <typename P>
-void GracePeriodDomain<P>::drain() {
+void EpochDomain::drain() {
     // A few advances age out all three local buckets and any orphans.
-    const auto attempts = [this] {
-        for (int i = 0; i < 4 && pending() > 0; ++i) {
-            if constexpr (P::kRegistersOnline) announce();
-            collect();
-        }
-    };
-    if constexpr (!P::kRegistersOnline) {
-        attempts();
-    } else {
-        // The caller leaves as it came: idle (and unattached, if it was,
-        // as the exit hook leaves a record, so that its next record()
-        // announces again) or announced, at the new period.
-        Record& rec = records_.local();
-        const bool attached = rec.attached;
-        const bool was_idle =
-            rec.announced.load(std::memory_order_relaxed) == kIdle;
-        attempts();
-        rec.attached = attached;
-        if (was_idle) {
-            idle(rec);
-        } else {
-            announce(rec);
-        }
-    }
+    for (int i = 0; i < 4 && pending() > 0; ++i) collect();
 }
 
-template <typename P>
-std::size_t GracePeriodDomain<P>::pending() const {
+std::size_t EpochDomain::pending() const {
     std::size_t n = orphaned_.load(std::memory_order_relaxed);
     records_.for_each([&n](std::size_t, const Record& r) {
         n += r.pending.load(std::memory_order_relaxed);
     });
     return n;
 }
-
-template class GracePeriodDomain<EbrPolicy>;
-template class GracePeriodDomain<QsbrPolicy>;
 
 }  // namespace tamp

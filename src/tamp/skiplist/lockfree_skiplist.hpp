@@ -48,7 +48,7 @@ template <std::totally_ordered T, typename KeyOf = DefaultKeyOf<T>,
 class LockFreeSkipList {
     static_assert(!Domain::kProtects,
                   "LockFreeSkipList's multi-level searches hold many "
-                  "nodes at once; use a grace-period domain (ebr/qsbr)");
+                  "nodes at once; use reclaim::ebr");
     struct Node {
         NodeKind kind;
         std::uint64_t key;

@@ -11,9 +11,9 @@
 // CAS, so the node is hazard-protected; winners retire it.  HP also
 // forecloses the classic Treiber ABA (a node address recycled into `top`
 // between a popper's read and CAS cannot happen while the popper's hazard
-// names it).  A grace-period domain (EBR/QSBR) gives the same guarantee
-// through the guard: no node reachable during the operation is freed, and
-// recycling into `top` needs a grace period the popper's guard spans.
+// names it).  EBR gives the same guarantee through the guard: no node
+// reachable during the operation is freed, and recycling into `top` needs
+// a grace period the popper's guard spans.
 
 #pragma once
 

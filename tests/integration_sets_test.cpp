@@ -1,7 +1,8 @@
 // Integration tests across modules: every Set-family implementation in
-// the library (5 lists, 5 hash sets, 2 skiplists) is run through the same
-// randomized operation tapes and cross-checked against std::set — a
-// differential oracle.  Parameterized over seeds (property-style sweep).
+// the library (5 lists, 5 hash sets, 2 skiplists, and the lock-free list
+// over hazard pointers as well as EBR) is run through the same randomized
+// operation tapes and cross-checked against std::set — a differential
+// oracle.  Parameterized over seeds (property-style sweep).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "tamp/core/random.hpp"
 #include "tamp/hash/hash.hpp"
 #include "tamp/lists/lists.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "tamp/skiplist/skiplist.hpp"
 #include "test_util.hpp"
 
@@ -77,6 +79,10 @@ TEST_P(DifferentialSeeds, LazyList) {
 TEST_P(DifferentialSeeds, LockFreeList) {
     run_tape<LockFreeListSet<int>>(GetParam(), 3000, 128);
 }
+TEST_P(DifferentialSeeds, LockFreeListOverHazardPointers) {
+    run_tape<LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>>(
+        GetParam(), 3000, 128);
+}
 TEST_P(DifferentialSeeds, CoarseHash) {
     run_tape<CoarseHashSet<int>>(GetParam(), 4000, 1024);
 }
@@ -141,6 +147,12 @@ void concurrent_agreement(std::uint64_t seed) {
 
 TEST(ConcurrentAgreement, LockFreeListVsLazyList) {
     concurrent_agreement<LockFreeListSet<int>, LazyListSet<int>>(11);
+}
+// The same list code over both reclamation domains: the hazard-pointer
+// search's restarts must not change what a tape leaves in the set.
+TEST(ConcurrentAgreement, LockFreeListOverHazardPointersVsEbr) {
+    concurrent_agreement<LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>,
+                         LockFreeListSet<int>>(44);
 }
 TEST(ConcurrentAgreement, SplitOrderedVsStripedHash) {
     concurrent_agreement<SplitOrderedHashSet<int>, StripedHashSet<int>>(22);

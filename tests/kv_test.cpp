@@ -1,8 +1,8 @@
 // tests/kv_test.cpp
 //
 // The KV service layer (tamp/kv): SplitOrderedMap growth and churn,
-// KvStore shard routing and multi_update atomicity, the YCSB-style
-// workload generator, and the open-loop MS-queue/work-stealing pipeline.
+// KvStore shard routing and concurrent use, the YCSB-style workload
+// generator, and the open-loop MS-queue/work-stealing pipeline.
 //
 // The growth test is the PR's acceptance check: the map grows from 2^4
 // buckets to 2^20 keys while the counting domain proves no node was
@@ -62,7 +62,6 @@ struct CountingEbr {
                 delete static_cast<T*>(q);
             });
     }
-    static void quiescent() { tamp::reclaim::ebr::quiescent(); }
     static std::size_t pending() { return tamp::reclaim::ebr::pending(); }
     static void drain() { tamp::reclaim::ebr::drain(); }
     static constexpr const char* name() { return "counting-ebr"; }
@@ -219,9 +218,8 @@ TEST(KvStore, ShardRoutingAndConfig) {
     EXPECT_EQ(U64Store(tamp::kv::Config{.shards = 5}).shards(), 8u);
     EXPECT_EQ(U64Store(tamp::kv::Config{.shards = 1}).shards(), 1u);
 
-    U64Store store(tamp::kv::Config{.shards = 8, .stripes = 16});
+    U64Store store(tamp::kv::Config{.shards = 8});
     EXPECT_EQ(store.shards(), 8u);
-    EXPECT_EQ(store.stripes(), 16u);
 
     std::set<std::size_t> used;
     for (std::uint64_t k = 0; k < 4096; ++k) {
@@ -250,22 +248,56 @@ TEST(KvStore, ShardRoutingAndConfig) {
     EXPECT_EQ(store.scan(7, 3, out), 3u);  // limit honored
 }
 
-// multi_update is atomic relative to other multi_updates: every batch
-// writes the same tag to both keys while rivals do the same, so any
-// interleaving inside the stripe-locked section would leave the two
-// keys with tags from different batches.
-TEST(KvStore, MultiUpdateAtomicityUnderContention) {
-    U64Store store(tamp::kv::Config{.shards = 4, .stripes = 8});
-    const std::uint64_t a = 11, b = 97;
-    store.multi_update({{a, 0}, {b, 0}});
+// Writers insert, update and delete their own keys across every shard at
+// once, reading a neighbour's keys as they go.  A read sees nothing or a
+// value its owner wrote, every put and del reports what the owner's own
+// sequence implies, and at rest size, snapshot and get agree on it.
+TEST(KvStore, ConcurrentWritersOnDisjointKeysAgreeAtRest) {
+    constexpr std::uint64_t kKeys = 2000;
     const std::size_t threads = test_threads(4);
+    const auto key = [](std::size_t owner, std::uint64_t i) {
+        return (std::uint64_t{owner} << 32) | i;
+    };
+    U64Store store(tamp::kv::Config{.shards = 4});
+    std::atomic<std::size_t> wrong{0};
     run_threads(threads, [&](std::size_t me) {
-        for (std::uint64_t r = 0; r < 2000; ++r) {
-            const std::uint64_t tag = (me << 32) | r;
-            store.multi_update({{a, tag}, {b, tag}});
+        const std::size_t next = (me + 1) % threads;
+        const auto check_read = [&](std::uint64_t i) {
+            const auto v = store.get(key(next, i));
+            if (v && *v != i && !(i % 2 == 0 && *v == i + 1)) {
+                wrong.fetch_add(1);
+            }
+        };
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+            if (!store.put(key(me, i), i)) wrong.fetch_add(1);
+            check_read(i);
+        }
+        for (std::uint64_t i = 0; i < kKeys; i += 2) {
+            if (store.put(key(me, i), i + 1)) wrong.fetch_add(1);
+            check_read(i);
+        }
+        for (std::uint64_t i = 0; i < kKeys; i += 4) {
+            if (!store.del(key(me, i))) wrong.fetch_add(1);
+            check_read(i);
         }
     });
-    EXPECT_EQ(store.get(a), store.get(b));
+    EXPECT_EQ(wrong.load(), 0u);
+
+    // Left: every i with i % 4 != 0, updated to i + 1 where i is even.
+    const std::size_t expected = threads * (kKeys - kKeys / 4);
+    EXPECT_EQ(store.size(), expected);
+    Pairs out;
+    ASSERT_EQ(store.snapshot(out), expected);
+    for (const auto& [k, v] : out) {
+        const std::uint64_t i = k & 0xFFFFFFFFu;
+        EXPECT_NE(i % 4, 0u) << "deleted key " << k << " in the snapshot";
+        EXPECT_EQ(v, i % 2 == 0 ? i + 1 : i) << "key " << k;
+    }
+    for (std::size_t owner = 0; owner < threads; ++owner) {
+        EXPECT_EQ(store.get(key(owner, 0)), std::nullopt);
+        EXPECT_EQ(store.get(key(owner, 2)), std::optional<std::uint64_t>(3));
+        EXPECT_EQ(store.get(key(owner, 3)), std::optional<std::uint64_t>(3));
+    }
 }
 
 TEST(KvWorkload, ZipfianSamplerIsSkewedAndBounded) {

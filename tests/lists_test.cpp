@@ -31,15 +31,14 @@ class ListSetTest : public ::testing::Test {
     S set_;
 };
 
-// LockFreeListSet runs over all three reclamation domains: EBR (the
-// default), hazard pointers (Michael's rotating two-hazard search, and a
-// contains() that runs through it) and QSBR.
+// LockFreeListSet runs over both reclamation domains: EBR (the default)
+// and hazard pointers (Michael's rotating two-hazard search, and a
+// contains() that runs through it).
 using SetTypes =
     ::testing::Types<CoarseListSet<int>, FineListSet<int>,
                      OptimisticListSet<int>, LazyListSet<int>,
                      LockFreeListSet<int>,
-                     LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>,
-                     LockFreeListSet<int, DefaultKeyOf<int>, reclaim::qsbr>>;
+                     LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>>;
 TYPED_TEST_SUITE(ListSetTest, SetTypes);
 
 TYPED_TEST(ListSetTest, SequentialAddRemoveContains) {
@@ -182,6 +181,15 @@ TEST(ListCollisions, Optimistic) { collision_battery<OptimisticListSet>(); }
 TEST(ListCollisions, Lazy) { collision_battery<LazyListSet>(); }
 TEST(ListCollisions, LockFree) { collision_battery<LockFreeListSet>(); }
 
+// Under hazard pointers find() is Michael's rotating two-hazard search,
+// and contains() runs through it: the same tie-break on colliding keys.
+template <typename T, typename KeyOf>
+using HazardLockFreeListSet = LockFreeListSet<T, KeyOf, reclaim::hp>;
+
+TEST(ListCollisions, LockFreeOverHazardPointers) {
+    collision_battery<HazardLockFreeListSet>();
+}
+
 // ------------------------------------------------ algorithm-specifics
 
 TEST(CoarseList, SizeIsExact) {
@@ -214,10 +222,11 @@ TEST(LazyList, ContainsIsLockFreeDuringHeavyChurn) {
     SUCCEED();
 }
 
-TEST(LockFreeList, TraversalCleansMarkedNodes) {
+template <typename Set>
+void expect_traversal_cleans_marked_nodes() {
     // Removing behind a slow traversal must not lose unrelated elements:
     // interleave removes with full-range contains sweeps.
-    LockFreeListSet<int> s;
+    Set s;
     for (int v = 0; v < 200; ++v) s.add(v);
     std::atomic<bool> stop{false};
     std::thread remover([&] {
@@ -233,6 +242,17 @@ TEST(LockFreeList, TraversalCleansMarkedNodes) {
     for (int v = 0; v < 200; ++v) {
         EXPECT_EQ(s.contains(v), v % 2 == 1);
     }
+}
+
+TEST(LockFreeList, TraversalCleansMarkedNodes) {
+    expect_traversal_cleans_marked_nodes<LockFreeListSet<int>>();
+}
+
+// Under hazard pointers every sweep's contains() snips the marked nodes
+// it meets, racing the remover's own snips and retires.
+TEST(LockFreeList, HazardTraversalCleansMarkedNodes) {
+    expect_traversal_cleans_marked_nodes<
+        LockFreeListSet<int, DefaultKeyOf<int>, reclaim::hp>>();
 }
 
 }  // namespace

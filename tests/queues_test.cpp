@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "tamp/queues/queues.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -129,9 +130,14 @@ TEST(BoundedQueueTest, ProducersConsumersConserveSum) {
 }
 
 // ------------------------------------------------------------- MS queue
+//
+// The queue runs over both reclamation domains: hazard pointers (the
+// default) and EBR, under which the publish hooks compile away and the
+// guard alone keeps the head, tail and next nodes alive.
 
-TEST(MSQueue, FifoSingleThread) {
-    LockFreeQueue<int> q;
+template <typename Q>
+void expect_fifo_single_thread() {
+    Q q;
     int out;
     EXPECT_FALSE(q.try_dequeue(out));
     for (int i = 0; i < 100; ++i) q.enqueue(i);
@@ -142,8 +148,16 @@ TEST(MSQueue, FifoSingleThread) {
     EXPECT_FALSE(q.try_dequeue(out));
 }
 
-TEST(MSQueue, InterleavedEnqueueDequeue) {
-    LockFreeQueue<int> q;
+TEST(MSQueue, FifoSingleThread) {
+    expect_fifo_single_thread<LockFreeQueue<int>>();
+}
+TEST(MSQueue, FifoSingleThreadUnderEbr) {
+    expect_fifo_single_thread<LockFreeQueue<int, reclaim::ebr>>();
+}
+
+template <typename Q>
+void expect_interleaved_enqueue_dequeue() {
+    Q q;
     int out;
     q.enqueue(1);
     q.enqueue(2);
@@ -157,11 +171,19 @@ TEST(MSQueue, InterleavedEnqueueDequeue) {
     EXPECT_FALSE(q.try_dequeue(out));
 }
 
-TEST(MSQueue, MpmcConservationAndPerProducerOrder) {
+TEST(MSQueue, InterleavedEnqueueDequeue) {
+    expect_interleaved_enqueue_dequeue<LockFreeQueue<int>>();
+}
+TEST(MSQueue, InterleavedEnqueueDequeueUnderEbr) {
+    expect_interleaved_enqueue_dequeue<LockFreeQueue<int, reclaim::ebr>>();
+}
+
+template <typename Q>
+void expect_mpmc_conservation_and_per_producer_order() {
     // Values are (producer << 20) | seq.  Consumers record everything;
     // afterwards: no loss, no duplication, and each producer's sequence
     // numbers appear in increasing order (FIFO per producer).
-    LockFreeQueue<int> q;
+    Q q;
     constexpr int kProducers = 2, kConsumers = 2, kPer = 10000;
     std::vector<std::vector<int>> taken(kConsumers);
     std::atomic<int> total_taken{0};
@@ -210,11 +232,17 @@ TEST(MSQueue, MpmcConservationAndPerProducerOrder) {
     }
 }
 
-TEST(MSQueue, StressDoesNotLeak) {
-    // Churn a queue hard, then drain; hazard-pointer reclamation keeps
-    // the pending count bounded (checked loosely: it must not grow with
-    // the iteration count).
-    LockFreeQueue<int> q;
+TEST(MSQueue, MpmcConservationAndPerProducerOrder) {
+    expect_mpmc_conservation_and_per_producer_order<LockFreeQueue<int>>();
+}
+TEST(MSQueue, MpmcConservationAndPerProducerOrderUnderEbr) {
+    expect_mpmc_conservation_and_per_producer_order<
+        LockFreeQueue<int, reclaim::ebr>>();
+}
+
+// Churn a queue hard from four threads, then empty it.
+template <typename Q>
+void churn_then_empty(Q& q) {
     run_threads(4, [&](std::size_t) {
         for (int i = 0; i < 20000; ++i) {
             q.enqueue(i);
@@ -225,9 +253,26 @@ TEST(MSQueue, StressDoesNotLeak) {
     int out;
     while (q.try_dequeue(out)) {
     }
+}
+
+TEST(MSQueue, StressDoesNotLeak) {
+    // Churn a queue hard, then drain; hazard-pointer reclamation keeps
+    // the pending count bounded (checked loosely: it must not grow with
+    // the iteration count).
+    LockFreeQueue<int> q;
+    churn_then_empty(q);
     HazardDomain::global().drain();
     EXPECT_LT(HazardDomain::global().pending(),
               HazardDomain::kScanThreshold * 8);
+}
+
+// Under EBR every dequeued node is retired behind the churners' pins;
+// once they have exited, a drain frees every one of them.
+TEST(MSQueue, StressUnderEbrFreesEveryDequeuedNode) {
+    LockFreeQueue<int, reclaim::ebr> q;
+    churn_then_empty(q);
+    reclaim::ebr::drain();
+    EXPECT_EQ(reclaim::ebr::pending(), 0u);
 }
 
 // ------------------------------------------------------------- recycling

@@ -1,8 +1,8 @@
-// The grace-period engine's free counters (tamp/reclaim/grace_period.hpp)
-// against the frees that actually ran.  `epoch.freed` / `qsbr.freed` are
-// the numerators of `tamp.epoch.freed_per_retired`, so every free must
-// land in them: the collects', the retire path's (a bucket whose period
-// came round again, and the capped ready list) and an exiting thread's.
+// The epoch engine's free counter (tamp/reclaim/epoch.hpp) against the
+// frees that actually ran.  `epoch.freed` is the numerator of
+// `tamp.epoch.freed_per_retired`, so every free must land in it: the
+// collects', the retire path's (a bucket whose period came round again,
+// and the capped ready list) and an exiting thread's.
 //
 // Built like any other test; under TAMP_STATS=OFF the counters compile
 // to zero and the expectation degrades to "nothing counted".
@@ -17,7 +17,6 @@
 #include "tamp/obs/counter.hpp"
 #include "tamp/obs/events.hpp"
 #include "tamp/reclaim/epoch.hpp"
-#include "tamp/reclaim/qsbr.hpp"
 
 namespace {
 
@@ -35,12 +34,12 @@ void counting_delete(void* p) {
 // three — the retirer's bucket index comes round again with a stale
 // period — and one more retire frees that bucket (under kFreeBatch
 // nodes, so all of it in that call).
-template <typename Domain, typename Freed>
-void expect_in_place_frees_counted() {
-    Domain& dom = Domain::global();
+TEST(GracePeriodStats, EbrCountsRetirePathFrees) {
+    using Freed = obs::ev::epoch_freed;
+    EpochDomain& dom = EpochDomain::global();
     constexpr std::size_t kRetired = 10;
-    static_assert(kRetired + 1 < Domain::kCollectThreshold);
-    static_assert(kRetired <= Domain::kFreeBatch);
+    static_assert(kRetired + 1 < EpochDomain::kCollectThreshold);
+    static_assert(kRetired <= EpochDomain::kFreeBatch);
 
     dom.idle();  // this thread must not hold the period back
     const std::uint64_t start = dom.current();
@@ -48,7 +47,6 @@ void expect_in_place_frees_counted() {
         dom.retire(new int(0), counting_delete);
     }
     std::thread advancer([&] {
-        dom.idle();  // a QSBR thread registers online: go quiet first
         while (dom.current() < start + 3) dom.collect();
     });
     advancer.join();
@@ -67,40 +65,22 @@ void expect_in_place_frees_counted() {
 // Every free lands in the counter, whichever path runs it: the capped
 // ready-list frees on the retire path, an exiting thread's frees of its
 // aged nodes, and drain()'s adoption of the buckets it orphaned.
-template <typename Domain, typename Freed>
-void expect_every_free_counted() {
-    Domain& dom = Domain::global();
+TEST(GracePeriodStats, EbrCountsEveryFree) {
+    using Freed = obs::ev::epoch_freed;
+    EpochDomain& dom = EpochDomain::global();
     dom.idle();
     const std::uint64_t freed_before = obs::counter<Freed>::total();
     const std::uint64_t deleted_before = g_deleted.load();
     std::thread([&] {
-        dom.idle();
         while (dom.record().ready.empty()) {
             dom.retire(new int(0), counting_delete);
         }
     }).join();  // exits with nodes on its ready list and in its buckets
     dom.drain();
-    dom.idle();
     const std::uint64_t deleted = g_deleted.load() - deleted_before;
-    EXPECT_GT(deleted, Domain::kCollectThreshold);
+    EXPECT_GT(deleted, EpochDomain::kCollectThreshold);
     EXPECT_EQ(obs::counter<Freed>::total() - freed_before,
               obs::kStatsEnabled ? deleted : 0);
-}
-
-TEST(GracePeriodStats, EbrCountsRetirePathFrees) {
-    expect_in_place_frees_counted<EpochDomain, obs::ev::epoch_freed>();
-}
-
-TEST(GracePeriodStats, QsbrCountsRetirePathFrees) {
-    expect_in_place_frees_counted<QsbrDomain, obs::ev::qsbr_freed>();
-}
-
-TEST(GracePeriodStats, EbrCountsEveryFree) {
-    expect_every_free_counted<EpochDomain, obs::ev::epoch_freed>();
-}
-
-TEST(GracePeriodStats, QsbrCountsEveryFree) {
-    expect_every_free_counted<QsbrDomain, obs::ev::qsbr_freed>();
 }
 
 }  // namespace

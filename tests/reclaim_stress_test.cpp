@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstddef>
 #include <fstream>
-#include <type_traits>
 
 #include "tamp/check/asan_annotate.hpp"
 #include "tamp/check/tsan_annotate.hpp"
@@ -99,36 +98,6 @@ TEST(ReclaimStress, EpochChurn) {
     EXPECT_EQ(reclaim::ebr::pending(), 0u);
 }
 
-// QSBR churn: guarded reads race swap-and-retire updates, with the
-// guard's rate-limited auto-quiescence as the only quiescence source —
-// exactly what a templated structure (LockFreeListSet<..., qsbr>) gets.
-TEST(ReclaimStress, QsbrChurn) {
-    constexpr std::size_t kIters = 2000;
-    const std::size_t threads = test_threads(4);
-    std::atomic<Box*> shared{new Box{-1}};
-    std::atomic<long> sum{0};
-
-    run_threads(threads, [&](std::size_t me) {
-        long local = 0;
-        for (std::size_t i = 0; i < kIters; ++i) {
-            QsbrReadGuard guard;
-            if (i % 4 == me % 4) {
-                Box* fresh = new Box{static_cast<long>(i)};
-                Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-                reclaim::qsbr::retire(old);
-            } else {
-                Box* b = shared.load(std::memory_order_acquire);
-                local += b->payload;  // unquiesced: cannot be freed yet
-            }
-        }
-        sum.fetch_add(local, std::memory_order_relaxed);
-    });
-
-    delete shared.load(std::memory_order_relaxed);
-    reclaim::qsbr::drain();
-    EXPECT_EQ(reclaim::qsbr::pending(), 0u);
-}
-
 // Restores the asymmetric-fence state even when an EXPECT fails.  Flips
 // are only legal at quiescence, so construct/destroy with no reclamation
 // traffic in flight.
@@ -183,25 +152,6 @@ TEST(ReclaimStress, FallbackFenceChurn) {
     delete eshared.load(std::memory_order_relaxed);
     reclaim::ebr::drain();
     EXPECT_EQ(reclaim::ebr::pending(), 0u);
-
-    std::atomic<Box*> qshared{new Box{-1}};
-    run_threads(threads, [&](std::size_t me) {
-        for (std::size_t i = 0; i < kIters; ++i) {
-            QsbrReadGuard guard;
-            if (i % 4 == me % 4) {
-                Box* fresh = new Box{static_cast<long>(i)};
-                Box* old =
-                    qshared.exchange(fresh, std::memory_order_acq_rel);
-                reclaim::qsbr::retire(old);
-            } else {
-                Box* b = qshared.load(std::memory_order_acquire);
-                (void)b->payload;
-            }
-        }
-    });
-    delete qshared.load(std::memory_order_relaxed);
-    reclaim::qsbr::drain();
-    EXPECT_EQ(reclaim::qsbr::pending(), 0u);
 }
 
 // Deleter that counts, so the churn tests below can prove every retired
@@ -294,49 +244,10 @@ TEST(ReclaimStress, EpochThreadChurnAdoptsOrphans) {
     EXPECT_EQ(g_deleted.load(std::memory_order_relaxed), retired);
 }
 
-// QSBR thread churn: exiting writers orphan their interval-tagged
-// buckets (mid-grace-period, below the collect threshold); the final
-// drain — on a thread that joined the domain late — must adopt and free
-// every last one.  The counted deleter proves conservation: retired ==
-// deleted, nothing stranded.
-TEST(ReclaimStress, QsbrThreadChurnAdoptsOrphans) {
-    constexpr std::size_t kWaves = 8;
-    constexpr std::size_t kPerThread = 32;
-    const std::size_t writers = test_threads(4);
-    g_deleted.store(0, std::memory_order_relaxed);
-
-    std::atomic<Box*> shared{new Box{-1}};
-    std::size_t retired = 0;
-    for (std::size_t w = 0; w < kWaves; ++w) {
-        run_threads(writers, [&](std::size_t me) {
-            for (std::size_t i = 0; i < kPerThread; ++i) {
-                QsbrReadGuard guard;
-                if (i % 2 == me % 2) {
-                    Box* fresh = new Box{static_cast<long>(i)};
-                    Box* old =
-                        shared.exchange(fresh, std::memory_order_acq_rel);
-                    reclaim::qsbr::retire(old, counted_delete);
-                } else {
-                    Box* b = shared.load(std::memory_order_acquire);
-                    (void)b->payload;
-                }
-            }
-        });  // writers exit with non-empty buckets: orphaned
-    }
-    retired = kWaves * writers * (kPerThread / 2);
-
-    reclaim::qsbr::retire(shared.load(std::memory_order_relaxed),
-                                counted_delete);
-    ++retired;
-    reclaim::qsbr::drain();
-    EXPECT_EQ(reclaim::qsbr::pending(), 0u);
-    EXPECT_EQ(g_deleted.load(std::memory_order_relaxed), retired);
-}
-
 // Thread churn at scale: 10^4 threads in waves of kWave, each retiring
 // kPerThread nodes (under every domain's batch) and exiting.  No thread
 // lives long enough to fill a batch, so reclamation keeps up only if an
-// id's successive owners share its batch count (grace_period.hpp) or
+// id's successive owners share its batch count (epoch.hpp) or
 // exits scan (hazard_pointers.hpp).  The backlog must stay under the
 // bound the domain's header states, which does not grow with the number
 // of threads, and so must the process's resident memory.  Under a
@@ -360,12 +271,6 @@ void expect_churn_backlog_bounded(std::size_t (*bound)()) {
     constexpr std::size_t kWave = 8;
     constexpr std::size_t kCheckEvery = 125;  // waves
     D::drain();
-    if constexpr (std::is_same_v<D, reclaim::qsbr>) {
-        // drain() returns an announced caller announced, and an earlier
-        // test may have left this thread announced; it holds no
-        // references, so it goes idle, or it would hold the period back.
-        QsbrDomain::global().idle();
-    }
     const std::size_t deleted0 = g_deleted.load(std::memory_order_relaxed);
     std::size_t rss_at_first_check = 0;
     for (std::size_t wave = 1; wave <= kThreads / kWave; ++wave) {
@@ -397,11 +302,9 @@ std::size_t hazard_backlog_bound() {
     return 2 * mark * std::max(HazardDomain::kScanThreshold, 2 * h) + h;
 }
 
-// grace_period.hpp: under 4 × kCollectThreshold × M.
-template <typename Policy>
+// epoch.hpp: under 4 × kCollectThreshold × M.
 std::size_t grace_period_backlog_bound() {
-    return 4 * GracePeriodDomain<Policy>::kCollectThreshold *
-           thread_id_high_water_mark();
+    return 4 * EpochDomain::kCollectThreshold * thread_id_high_water_mark();
 }
 
 TEST(ReclaimStress, HazardThreadChurnBacklogStaysBounded) {
@@ -416,13 +319,7 @@ TEST(ReclaimStress, HazardShortThreadChurnBacklogStaysBounded) {
 }
 
 TEST(ReclaimStress, EpochThreadChurnBacklogStaysBounded) {
-    expect_churn_backlog_bounded<reclaim::ebr>(
-        &grace_period_backlog_bound<EbrPolicy>);
-}
-
-TEST(ReclaimStress, QsbrThreadChurnBacklogStaysBounded) {
-    expect_churn_backlog_bounded<reclaim::qsbr>(
-        &grace_period_backlog_bound<QsbrPolicy>);
+    expect_churn_backlog_bounded<reclaim::ebr>(&grace_period_backlog_bound);
 }
 
 }  // namespace

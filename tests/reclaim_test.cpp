@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <type_traits>
 
 #include "tamp/core/thread_registry.hpp"
 #include "tamp/obs/counter.hpp"
@@ -31,6 +30,13 @@ struct Tracked {
     ~Tracked() { live.fetch_sub(1); }
 };
 std::atomic<int> Tracked::live{0};
+
+// Spins until another thread moves `stage` to `value`.
+void wait_for(const std::atomic<int>& stage, int value) {
+    while (stage.load(std::memory_order_acquire) != value) {
+        std::this_thread::yield();
+    }
+}
 
 // ------------------------------------------------------------- hazard
 
@@ -192,6 +198,28 @@ TEST(Epoch, EpochAdvancesWhenNobodyPinned) {
     EXPECT_GT(EpochDomain::global().current(), e0);
 }
 
+// A retire outside any guard holds no references: the retiring thread
+// stays idle, so it holds back no grace period while it lives on.
+TEST(Epoch, AThreadThatOnlyRetiresHoldsBackNoGracePeriod) {
+    EpochDomain& dom = EpochDomain::global();
+    const int before = Tracked::live.load();
+    std::atomic<int> stage{0};
+    std::thread r([&] {
+        reclaim::ebr::retire(new Tracked(1));
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+    });
+    wait_for(stage, 1);
+    const std::uint64_t p = dom.current();
+    dom.collect();
+    dom.collect();
+    EXPECT_EQ(dom.current(), p + 2) << "the retiring thread held the period";
+    stage.store(2, std::memory_order_release);
+    r.join();
+    reclaim::ebr::drain();
+    EXPECT_EQ(Tracked::live.load(), before);
+}
+
 TEST(Epoch, ConcurrentRetireAndCollectIsSafe) {
     const int before = Tracked::live.load();
     run_threads(4, [&](std::size_t) {
@@ -204,98 +232,6 @@ TEST(Epoch, ConcurrentRetireAndCollectIsSafe) {
     EXPECT_EQ(Tracked::live.load(), before);
 }
 
-// ------------------------------------------------------------- qsbr
-
-TEST(Qsbr, RetiredNodesFreedAfterDrain) {
-    const int before = Tracked::live.load();
-    for (int i = 0; i < 200; ++i) {
-        QsbrReadGuard g;
-        reclaim::qsbr::retire(new Tracked(i));
-    }
-    reclaim::qsbr::drain();
-    EXPECT_EQ(Tracked::live.load(), before);
-}
-
-TEST(Qsbr, UnquiescedReaderBlocksReclamation) {
-    const int before = Tracked::live.load();
-    std::atomic<bool> registered{false};
-    std::atomic<bool> release{false};
-    std::thread reader([&] {
-        // Register with the domain and then never report quiescence: the
-        // QSBR contract says anything retired after this point must stay
-        // allocated until we do (or exit).
-        QsbrDomain::global().announce();
-        registered.store(true);
-        while (!release.load()) std::this_thread::yield();
-    });
-    while (!registered.load()) std::this_thread::yield();
-
-    Tracked* victim = new Tracked(7);
-    reclaim::qsbr::retire(victim);
-    for (int i = 0; i < 10; ++i) {
-        QsbrDomain::global().announce();
-        QsbrDomain::global().collect();
-    }
-    EXPECT_EQ(Tracked::live.load(), before + 1)
-        << "node freed while an unquiesced thread could still hold it";
-    EXPECT_EQ(victim->payload, 7);  // still dereferenceable
-
-    release.store(true);
-    reader.join();  // exit unregisters the reader
-    reclaim::qsbr::drain();
-    EXPECT_EQ(Tracked::live.load(), before);
-}
-
-TEST(Qsbr, OfflineThreadDoesNotBlockReclamation) {
-    const int before = Tracked::live.load();
-    std::atomic<bool> offline{false};
-    std::atomic<bool> release{false};
-    std::thread sleeper([&] {
-        QsbrDomain::global().announce();
-        QsbrDomain::global().idle();  // "I hold no shared pointers"
-        offline.store(true);
-        while (!release.load()) std::this_thread::yield();
-    });
-    while (!offline.load()) std::this_thread::yield();
-
-    // The sleeper never reports quiescence, but offline threads are
-    // excluded from the grace-period handshake.
-    reclaim::qsbr::retire(new Tracked(1));
-    reclaim::qsbr::drain();
-    EXPECT_EQ(Tracked::live.load(), before);
-
-    release.store(true);
-    sleeper.join();
-}
-
-TEST(Qsbr, RetireUnderGuardStaysDereferenceable) {
-    const int before = Tracked::live.load();
-    {
-        QsbrReadGuard outer;
-        {
-            QsbrReadGuard inner;  // guards nest; only the outermost exit
-                                  // counts toward auto-quiescence
-        }
-        // This thread has not passed through a quiescent state since the
-        // retire below, so collect() may never free the node under us.
-        Tracked* p = new Tracked(3);
-        reclaim::qsbr::retire(p);
-        for (int i = 0; i < 10; ++i) QsbrDomain::global().collect();
-        EXPECT_EQ(p->payload, 3);
-    }
-    reclaim::qsbr::drain();
-    EXPECT_EQ(Tracked::live.load(), before);
-}
-
-TEST(Qsbr, IntervalAdvancesWhenEveryoneQuiesces) {
-    const auto i0 = QsbrDomain::global().current();
-    for (int i = 0; i < 5; ++i) {
-        QsbrDomain::global().announce();
-        QsbrDomain::global().collect();
-    }
-    EXPECT_GT(QsbrDomain::global().current(), i0);
-}
-
 // ---------------------------------------------------- domain adapters
 //
 // The reclaim::domain facades (tamp/reclaim/domain.hpp) must behave
@@ -306,8 +242,7 @@ TEST(Qsbr, IntervalAdvancesWhenEveryoneQuiesces) {
 template <typename D>
 class DomainAdapter : public ::testing::Test {};
 
-using AllDomains =
-    ::testing::Types<reclaim::hp, reclaim::ebr, reclaim::qsbr>;
+using AllDomains = ::testing::Types<reclaim::hp, reclaim::ebr>;
 TYPED_TEST_SUITE(DomainAdapter, AllDomains);
 
 TYPED_TEST(DomainAdapter, ProtectReadsCurrentValue) {
@@ -317,7 +252,7 @@ TYPED_TEST(DomainAdapter, ProtectReadsCurrentValue) {
         typename D::guard g;
         Tracked* p = g.template protect<0>(src);
         EXPECT_EQ(p->payload, 42);
-        // set/clear are no-ops under grace-period domains but must
+        // set/clear are no-ops under EBR but must
         // compile and be callable through the same interface.
         g.template set<1>(p);
         g.template clear<1>();
@@ -362,15 +297,116 @@ TYPED_TEST(DomainAdapter, NameIsStable) {
     EXPECT_GT(std::char_traits<char>::length(n), 0u);
 }
 
+TYPED_TEST(DomainAdapter, RetireRunsTheGivenDeleterOncePerNode) {
+    using D = TypeParam;
+    static std::atomic<int> calls{0};
+    calls.store(0);
+    const int before = Tracked::live.load();
+    for (int i = 0; i < 100; ++i) {
+        typename D::guard g;
+        D::retire(static_cast<void*>(new Tracked(i)), +[](void* p) {
+            calls.fetch_add(1);
+            delete static_cast<Tracked*>(p);
+        });
+    }
+    D::drain();
+    EXPECT_EQ(calls.load(), 100);
+    EXPECT_EQ(Tracked::live.load(), before);
+}
+
+// A reader on another thread takes the node with `take` inside its guard
+// and holds it while this thread unlinks it, retires it and drains: a
+// hazard slot names the node, or the reader's pin holds the grace period
+// open, so the node survives until the reader's guard ends.
+template <typename D, typename Take>
+void expect_reader_keeps_node_alive(Take take) {
+    std::atomic<Tracked*> src{new Tracked(11)};
+    const int live_before = Tracked::live.load();
+    std::atomic<int> stage{0};
+    std::thread reader([&] {
+        typename D::guard g;
+        Tracked* p = take(g, src);
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+        EXPECT_EQ(p->payload, 11);
+    });
+    wait_for(stage, 1);
+    Tracked* victim = src.exchange(nullptr);
+    D::retire(victim);
+    D::drain();
+    EXPECT_EQ(Tracked::live.load(), live_before)
+        << "node freed while another thread's guard held it";
+    stage.store(2, std::memory_order_release);
+    reader.join();
+    D::drain();
+    EXPECT_EQ(Tracked::live.load(), live_before - 1);
+}
+
+TYPED_TEST(DomainAdapter, ProtectOnAnotherThreadKeepsNodeAlive) {
+    using D = TypeParam;
+    expect_reader_keeps_node_alive<D>(
+        [](typename D::guard& g, std::atomic<Tracked*>& src) {
+            return g.template protect<0>(src);
+        });
+}
+
+// set<I> publishes a pointer the caller re-validates itself, as the
+// Harris-Michael search does with a re-read of the link it came from.
+TYPED_TEST(DomainAdapter, SetOnAnotherThreadKeepsNodeAlive) {
+    using D = TypeParam;
+    expect_reader_keeps_node_alive<D>(
+        [](typename D::guard& g, std::atomic<Tracked*>& src) {
+            Tracked* p = src.load(std::memory_order_acquire);
+            g.template set<1>(p);
+            EXPECT_EQ(src.load(), p) << "re-validation failed";
+            return p;
+        });
+}
+
+// A deleter may retire (a node that owns another): both engines take the
+// retire while they free, and a drain frees the chain.
+TYPED_TEST(DomainAdapter, NodeRetiredByADeleterIsFreedByTheDrain) {
+    using D = TypeParam;
+    struct Owner {
+        Tracked* child;
+    };
+    const int before = Tracked::live.load();
+    {
+        typename D::guard g;
+        D::retire(static_cast<void*>(new Owner{new Tracked(5)}),
+                  +[](void* p) {
+                      auto* owner = static_cast<Owner*>(p);
+                      D::retire(owner->child);
+                      delete owner;
+                  });
+    }
+    D::drain();
+    EXPECT_EQ(D::pending(), 0u);
+    EXPECT_EQ(Tracked::live.load(), before);
+}
+
+TYPED_TEST(DomainAdapter, DrainFreesWhatExitedThreadsRetired) {
+    using D = TypeParam;
+    const int before = Tracked::live.load();
+    run_threads(4, [](std::size_t) {
+        for (int i = 0; i < 300; ++i) {
+            typename D::guard g;
+            D::retire(new Tracked(i));
+        }
+    });  // each exits with retirees its own batches have not freed
+    D::drain();
+    EXPECT_EQ(D::pending(), 0u);
+    EXPECT_EQ(Tracked::live.load(), before);
+}
+
 // ------------------------------------------------- grace-period batching
 //
-// The retire side of the engine EBR and QSBR share
-// (tamp/reclaim/grace_period.hpp): a batch that fills after another
-// thread advanced the period shares that grace period instead of running
-// the barrier, and aged nodes wait on a ready list that each retire()
-// frees at most kFreeBatch of.  The retiring bodies run on fresh threads,
-// so each starts with an empty record; every thread that touches the
-// domain goes idle first so that it never holds the period back.
+// The retire side of the epoch engine (tamp/reclaim/epoch.hpp): a batch
+// that fills after another thread advanced the period shares that grace
+// period instead of running the barrier, and aged nodes wait on a ready
+// list that each retire() frees at most kFreeBatch of.  The retiring
+// bodies run on fresh threads, so each starts with an empty, idle record
+// that never holds the period back.
 
 std::atomic<std::uint64_t> g_deleted{0};
 
@@ -379,14 +415,11 @@ void counting_delete(void* p) {
     g_deleted.fetch_add(1, std::memory_order_relaxed);
 }
 
-template <typename Policy>
 class GracePeriodBatch : public ::testing::Test {
   protected:
-    using Domain = GracePeriodDomain<Policy>;
-
     GracePeriodBatch() { dom().idle(); }
 
-    static Domain& dom() { return Domain::global(); }
+    static EpochDomain& dom() { return EpochDomain::global(); }
 
     static void retire_one() { dom().retire(new int(0), counting_delete); }
 
@@ -397,7 +430,7 @@ class GracePeriodBatch : public ::testing::Test {
         while (dom().record().ready.empty()) {
             retire_one();
             ++retired;
-            if (retired > 8 * Domain::kCollectThreshold) {
+            if (retired > 8 * EpochDomain::kCollectThreshold) {
                 ADD_FAILURE() << "no bucket aged onto the ready list";
                 break;
             }
@@ -408,35 +441,29 @@ class GracePeriodBatch : public ::testing::Test {
     // Advance the period by one from a helper thread that holds nothing.
     static void advance_elsewhere() {
         std::thread([] {
-            dom().idle();
             const std::uint64_t target = dom().current() + 1;
             while (dom().current() < target) dom().collect();
         }).join();
     }
 };
 
-using GracePeriodPolicies = ::testing::Types<EbrPolicy, QsbrPolicy>;
-TYPED_TEST_SUITE(GracePeriodBatch, GracePeriodPolicies);
-
-TYPED_TEST(GracePeriodBatch, BatchAfterAnotherThreadsAdvanceSkipsTheBarrier) {
-    using D = typename TestFixture::Domain;
-    using collects = obs::counter<typename TypeParam::collects>;
-    using shared = obs::counter<typename TypeParam::shared>;
+TEST_F(GracePeriodBatch, BatchAfterAnotherThreadsAdvanceSkipsTheBarrier) {
+    using collects = obs::counter<obs::ev::epoch_collects>;
+    using shared = obs::counter<obs::ev::epoch_shared>;
     std::thread([] {
-        TestFixture::dom().idle();
-        TestFixture::dom().collect();  // this thread's last attempt: now
-        for (std::size_t i = 0; i + 1 < D::kCollectThreshold; ++i) {
-            TestFixture::retire_one();
+        dom().collect();  // this thread's last attempt: now
+        for (std::size_t i = 0; i + 1 < EpochDomain::kCollectThreshold; ++i) {
+            retire_one();
         }
-        TestFixture::advance_elsewhere();
+        advance_elsewhere();
 
         // The batch fills after that advance: it shares it.
-        const std::uint64_t period = TestFixture::dom().current();
+        const std::uint64_t period = dom().current();
         const std::uint64_t barriers = asym::heavy_barrier_count();
         const std::uint64_t collects0 = collects::total();
         const std::uint64_t shared0 = shared::total();
-        TestFixture::retire_one();
-        EXPECT_EQ(TestFixture::dom().current(), period)
+        retire_one();
+        EXPECT_EQ(dom().current(), period)
             << "a shared grace period must not advance the period";
         EXPECT_EQ(collects::total(), collects0);
         EXPECT_EQ(shared::total() - shared0, obs::kStatsEnabled ? 1u : 0u);
@@ -446,64 +473,60 @@ TYPED_TEST(GracePeriodBatch, BatchAfterAnotherThreadsAdvanceSkipsTheBarrier) {
         }
 
         // No advance since: the next batch runs the barrier and advances.
-        for (std::size_t i = 0; i < D::kCollectThreshold; ++i) {
-            TestFixture::retire_one();
+        for (std::size_t i = 0; i < EpochDomain::kCollectThreshold; ++i) {
+            retire_one();
         }
-        EXPECT_EQ(TestFixture::dom().current(), period + 1);
+        EXPECT_EQ(dom().current(), period + 1);
         EXPECT_EQ(collects::total() - collects0, obs::kStatsEnabled ? 1u : 0u);
         if (asym::enabled()) {
             EXPECT_EQ(asym::heavy_barrier_count(), barriers + 1);
         }
-        TestFixture::dom().drain();
+        dom().drain();
     }).join();
 }
 
-TYPED_TEST(GracePeriodBatch, NoRetireFreesMoreThanTheFreeBatch) {
-    using D = typename TestFixture::Domain;
+TEST_F(GracePeriodBatch, NoRetireFreesMoreThanTheFreeBatch) {
     std::thread([] {
-        TestFixture::dom().idle();
         std::uint64_t most = 0;
         std::uint64_t total = 0;
-        for (std::size_t i = 0; i < 6 * D::kCollectThreshold; ++i) {
+        for (std::size_t i = 0; i < 6 * EpochDomain::kCollectThreshold; ++i) {
             const std::uint64_t before = g_deleted.load();
-            TestFixture::retire_one();
+            retire_one();
             const std::uint64_t freed = g_deleted.load() - before;
             most = std::max(most, freed);
             total += freed;
         }
-        EXPECT_LE(most, D::kFreeBatch);
+        EXPECT_LE(most, EpochDomain::kFreeBatch);
         // Whole buckets aged meanwhile, each larger than the cap.
-        EXPECT_GT(total, 2 * D::kCollectThreshold);
-        TestFixture::dom().drain();
+        EXPECT_GT(total, 2 * EpochDomain::kCollectThreshold);
+        dom().drain();
     }).join();
 }
 
-TYPED_TEST(GracePeriodBatch, PendingCountsTheReadyListAndDrainEmptiesIt) {
+TEST_F(GracePeriodBatch, PendingCountsTheReadyListAndDrainEmptiesIt) {
     std::thread([] {
-        TestFixture::dom().idle();
-        const std::size_t pending0 = TestFixture::dom().pending();
+        const std::size_t pending0 = dom().pending();
         const std::uint64_t deleted0 = g_deleted.load();
-        const std::size_t retired = TestFixture::retire_until_ready();
+        const std::size_t retired = retire_until_ready();
         const std::size_t deleted = g_deleted.load() - deleted0;
-        EXPECT_EQ(TestFixture::dom().pending() - pending0, retired - deleted);
+        EXPECT_EQ(dom().pending() - pending0, retired - deleted);
 
-        TestFixture::dom().drain();
-        EXPECT_TRUE(TestFixture::dom().record().ready.empty());
+        dom().drain();
+        EXPECT_TRUE(dom().record().ready.empty());
         EXPECT_EQ(g_deleted.load() - deleted0, retired);
-        EXPECT_EQ(TestFixture::dom().pending(), 0u);
+        EXPECT_EQ(dom().pending(), 0u);
     }).join();
 }
 
-TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
-    const std::size_t pending0 = TestFixture::dom().pending();
+TEST_F(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
+    const std::size_t pending0 = dom().pending();
     const std::uint64_t deleted0 = g_deleted.load();
     std::size_t retired = 0;
     std::size_t ready_at_exit = 0;
     std::uint64_t deleted_before_exit = 0;
     std::thread([&] {
-        TestFixture::dom().idle();
-        retired = TestFixture::retire_until_ready();
-        ready_at_exit = TestFixture::dom().record().ready.size();
+        retired = retire_until_ready();
+        ready_at_exit = dom().record().ready.size();
         deleted_before_exit = g_deleted.load() - deleted0;
     }).join();
     const std::uint64_t deleted = g_deleted.load() - deleted0;
@@ -511,9 +534,8 @@ TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
     EXPECT_GE(deleted - deleted_before_exit, ready_at_exit)
         << "aged nodes were orphaned instead of freed at exit";
     // Only the young buckets were orphaned; a later collect adopts them.
-    EXPECT_EQ(TestFixture::dom().pending() - pending0, retired - deleted);
-    TestFixture::dom().drain();
-    TestFixture::dom().idle();
+    EXPECT_EQ(dom().pending() - pending0, retired - deleted);
+    dom().drain();
     EXPECT_EQ(g_deleted.load() - deleted0, retired);
 }
 
@@ -523,122 +545,6 @@ TYPED_TEST(GracePeriodBatch, ExitingThreadFreesItsAgedNodes) {
 // records too (one cell per id in each domain).  It must start the way a
 // brand-new thread does, whatever state the previous owner left.  Each
 // test runs thread A, then thread B, and asserts B got A's id.
-
-void wait_for(const std::atomic<int>& stage, int value) {
-    while (stage.load(std::memory_order_acquire) != value) {
-        std::this_thread::yield();
-    }
-}
-
-TEST(Qsbr, RecycledIdStartsAnnouncedAtTheLivePeriod) {
-    QsbrDomain& dom = QsbrDomain::global();
-    dom.idle();
-    std::size_t id_a = 0;
-    std::thread([&] {
-        id_a = thread_id();
-        QsbrReadGuard g;
-        dom.retire(new int(0), counting_delete);
-    }).join();
-    // A exited announced; its exit left the record idle.
-    const std::uint64_t p0 = dom.current();
-    dom.collect();
-    ASSERT_EQ(dom.current(), p0 + 1) << "an exited thread held the period";
-
-    std::atomic<int> stage{0};
-    std::size_t id_b = 0;
-    std::thread b([&] {
-        id_b = thread_id();
-        { QsbrReadGuard g; }  // attaches: announced at the live period
-        EXPECT_EQ(dom.record().announced.load(), dom.current());
-        stage.store(1, std::memory_order_release);
-        wait_for(stage, 2);
-        dom.announce();  // B's quiescent point
-        stage.store(3, std::memory_order_release);
-    });
-    wait_for(stage, 1);
-    ASSERT_EQ(id_b, id_a);
-    const std::uint64_t p = dom.current();
-    for (int i = 0; i < 3; ++i) dom.collect();
-    EXPECT_EQ(dom.current(), p + 1) << "B does not hold back its own period";
-    stage.store(2, std::memory_order_release);
-    wait_for(stage, 3);
-    dom.collect();
-    EXPECT_EQ(dom.current(), p + 2);
-    b.join();
-    dom.drain();
-    dom.idle();
-}
-
-// drain() announces for its caller between attempts and hands it back as
-// it found it.  D is new to QSBR when it drains, so it leaves unattached
-// and idle: while it waits it holds back no grace period, and its next
-// read section announces again.
-TEST(Qsbr, DrainLeavesANewCallerUnattachedAndIdle) {
-    QsbrDomain& dom = QsbrDomain::global();
-    const int before = Tracked::live.load();
-    reclaim::qsbr::retire(new Tracked(1));  // something for D to drain
-    std::atomic<int> stage{0};
-    std::thread d([&] {
-        reclaim::qsbr::drain();
-        stage.store(1, std::memory_order_release);
-        wait_for(stage, 2);
-        QsbrReadGuard g;
-        EXPECT_EQ(dom.record().announced.load(), dom.current())
-            << "D's read section did not announce";
-    });
-    wait_for(stage, 1);
-    reclaim::qsbr::retire(new Tracked(2));
-    reclaim::qsbr::drain();
-    EXPECT_EQ(reclaim::qsbr::pending(), 0u)
-        << "D, waiting after its drain(), held the period back";
-    EXPECT_EQ(Tracked::live.load(), before);
-    stage.store(2, std::memory_order_release);
-    d.join();
-}
-
-TEST(Qsbr, DrainLeavesAnIdleCallerIdleAndAnAnnouncedOneAnnounced) {
-    QsbrDomain& dom = QsbrDomain::global();
-    dom.idle();  // this thread holds no references
-    const int before = Tracked::live.load();
-    std::thread([&] {
-        dom.announce();
-        reclaim::qsbr::retire(new Tracked(1));
-        dom.drain();
-        EXPECT_EQ(dom.record().announced.load(), dom.current());
-        dom.idle();
-        reclaim::qsbr::retire(new Tracked(2));
-        dom.drain();
-        EXPECT_EQ(dom.record().announced.load(), QsbrDomain::kIdle);
-    }).join();
-    EXPECT_EQ(Tracked::live.load(), before);
-}
-
-// A retire outside a read section holds no references: it leaves a new
-// thread unattached and idle, so the thread holds back no grace period
-// while it waits.
-TEST(Qsbr, AThreadThatOnlyRetiresHoldsBackNoGracePeriod) {
-    QsbrDomain& dom = QsbrDomain::global();
-    dom.idle();  // this thread holds no references
-    const int before = Tracked::live.load();
-    std::atomic<int> stage{0};
-    std::thread r([&] {
-        reclaim::qsbr::retire(new Tracked(1));
-        stage.store(1, std::memory_order_release);
-        wait_for(stage, 2);
-    });
-    wait_for(stage, 1);
-    const std::uint64_t p = dom.current();
-    for (int i = 0; i < 2; ++i) {
-        dom.announce();
-        dom.collect();
-    }
-    EXPECT_EQ(dom.current(), p + 2) << "the retiring thread held the period";
-    stage.store(2, std::memory_order_release);
-    r.join();
-    reclaim::qsbr::drain();
-    dom.idle();
-    EXPECT_EQ(Tracked::live.load(), before);
-}
 
 TEST(Epoch, RecycledIdStartsIdle) {
     EpochDomain& dom = EpochDomain::global();
@@ -653,7 +559,7 @@ TEST(Epoch, RecycledIdStartsIdle) {
     std::size_t id_b = 0;
     std::thread b([&] {
         id_b = thread_id();
-        (void)dom.record();  // attaches, outside any guard
+        (void)dom.record();  // takes A's record, outside any guard
         stage.store(1, std::memory_order_release);
         wait_for(stage, 2);
     });
@@ -713,29 +619,20 @@ TEST(HazardPointers, RecycledIdStartsWithNoGuardOpen) {
 template <typename Domain>
 void expect_private_domain_is_independent() {
     constexpr std::size_t kPerThread = 100;
-    // Takes the calling thread into the domain, holding nothing.
-    const auto enter = [](Domain& d) {
-        if constexpr (std::is_same_v<Domain, HazardDomain>) {
-            (void)d.record();
-        } else {
-            d.idle();  // a QSBR thread registers online
-        }
-    };
     auto dom = std::make_unique<Domain>();
     const std::size_t hp0 = reclaim::hp::pending();
     const std::size_t ebr0 = reclaim::ebr::pending();
-    const std::size_t qsbr0 = reclaim::qsbr::pending();
     const std::uint64_t deleted0 = g_deleted.load();
 
     std::atomic<int> stage{0};
     std::thread late([&] {
-        enter(*dom);
+        (void)dom->record();  // enters the domain, holding nothing
         stage.store(1, std::memory_order_release);
         wait_for(stage, 2);
     });
     wait_for(stage, 1);
     run_threads(2, [&](std::size_t) {
-        enter(*dom);
+        (void)dom->record();  // enters the domain, holding nothing
         for (std::size_t i = 0; i < kPerThread; ++i) {
             dom->retire(new int(0), counting_delete);
         }
@@ -745,7 +642,6 @@ void expect_private_domain_is_independent() {
     EXPECT_EQ(dom->pending(), 0u);
     EXPECT_EQ(reclaim::hp::pending(), hp0);
     EXPECT_EQ(reclaim::ebr::pending(), ebr0);
-    EXPECT_EQ(reclaim::qsbr::pending(), qsbr0);
 
     dom.reset();
     stage.store(2, std::memory_order_release);
@@ -760,8 +656,26 @@ TEST(Epoch, PrivateDomainIsIndependentOfTheGlobalOne) {
     expect_private_domain_is_independent<EpochDomain>();
 }
 
-TEST(Qsbr, PrivateDomainIsIndependentOfTheGlobalOne) {
-    expect_private_domain_is_independent<QsbrDomain>();
+// Periods are per domain: a reader pinned in global() holds back none of
+// a private domain's grace periods.
+TEST(Epoch, GlobalPinDoesNotHoldAPrivateDomainsPeriod) {
+    auto dom = std::make_unique<EpochDomain>();
+    const std::uint64_t deleted0 = g_deleted.load();
+    std::atomic<int> stage{0};
+    std::thread reader([&] {
+        EpochGuard pin;
+        stage.store(1, std::memory_order_release);
+        wait_for(stage, 2);
+    });
+    wait_for(stage, 1);
+    dom->retire(new int(0), counting_delete);
+    const std::uint64_t p = dom->current();
+    dom->drain();
+    EXPECT_GE(dom->current(), p + 2) << "the global pin held the period";
+    EXPECT_EQ(g_deleted.load() - deleted0, 1u);
+    EXPECT_EQ(dom->pending(), 0u);
+    stage.store(2, std::memory_order_release);
+    reader.join();
 }
 
 }  // namespace

@@ -804,104 +804,6 @@ TEST(SimBugs, TtasStatisticInsideLockPassesExhaustively) {
 }
 
 // ===========================================================================
-// Bug 10 — QSBR quiescence reported mid-operation: the reader copies the
-// global interval into its `seen` counter *before* it is done with the
-// pointer it loaded.  That report is a promise ("I hold no shared
-// pointers") the reader then breaks: the collector may legitimately run a
-// full grace period — straggler check, two interval advances, free — all
-// between the premature report and the reader's last dereference.  This is
-// the QSBR deployment failure mode (quiescence points placed too early),
-// as opposed to a substrate bug; the checker finds the use-after-free and
-// replays it deterministically.
-// ===========================================================================
-
-// The grace-period collector both bodies share: unlink node 0, retire it
-// tagged with the current interval, then bounded collect rounds exactly as
-// QsbrDomain::collect() behaves (skip the advance while a registered
-// thread's `seen` lags, free once the tag is two advances stale).
-struct QsbrModel {
-    tamp::atomic<int> src{0};
-    tamp::atomic<std::uint32_t> interval{0};
-    tamp::atomic<std::uint32_t> seen{0};  // registered quiesced
-    tamp::atomic<int> freed0{0};
-
-    void reclaim() {
-        src.store(1, std::memory_order_seq_cst);
-        const std::uint32_t tag = interval.load(std::memory_order_seq_cst);
-        for (int round = 0; round < 3; ++round) {
-            const std::uint32_t i =
-                interval.load(std::memory_order_seq_cst);
-            if (seen.load(std::memory_order_seq_cst) < i) continue;
-            interval.store(i + 1, std::memory_order_seq_cst);
-            if (tag + 2 <= i + 1) {
-                freed0.store(1, std::memory_order_relaxed);
-                break;
-            }
-        }
-    }
-
-    void quiesce() {
-        seen.store(interval.load(std::memory_order_acquire),
-                   std::memory_order_seq_cst);
-    }
-};
-
-void qsbr_early_quiesce_body() {
-    auto m = std::make_shared<QsbrModel>();
-    sim::thread reader([m] {
-        const int p = m->src.load(std::memory_order_seq_cst);
-        m->quiesce();  // BUG: reports quiescence while still holding p
-        m->quiesce();  // (the next op boundary)
-        sim::assert_always(
-            !(p == 0 && m->freed0.load(std::memory_order_relaxed) == 1),
-            "reader dereferenced node 0 after quiescing through its "
-            "grace period");
-    });
-    sim::thread reclaimer([m] { m->reclaim(); });
-    reader.join();
-    reclaimer.join();
-}
-
-TEST(SimBugs, QsbrEarlyQuiescenceFreesNodeStillInUse) {
-    sim::ExploreOptions opts;
-    opts.print_on_failure = false;
-    const auto res = sim::explore(opts, qsbr_early_quiesce_body);
-    ASSERT_FALSE(res.ok) << "seeded bug not found in " << res.executions
-                         << " executions";
-    EXPECT_EQ(res.kind, sim::ViolationKind::kAssert);
-
-    const auto again = sim::replay(opts, res, qsbr_early_quiesce_body);
-    EXPECT_FALSE(again.ok);
-    EXPECT_EQ(again.kind, res.kind);
-    EXPECT_EQ(again.trace, res.trace);
-}
-
-// The fixed twin: quiescence reported only after the operation's last
-// dereference — the placement QsbrReadGuard's destructor gives every
-// templated structure — passes the same exploration exhaustively.
-void qsbr_late_quiesce_body() {
-    auto m = std::make_shared<QsbrModel>();
-    sim::thread reader([m] {
-        const int p = m->src.load(std::memory_order_seq_cst);
-        sim::assert_always(
-            !(p == 0 && m->freed0.load(std::memory_order_relaxed) == 1),
-            "node freed inside the read-side section");
-        m->quiesce();  // op done: the report is now truthful
-        m->quiesce();
-    });
-    sim::thread reclaimer([m] { m->reclaim(); });
-    reader.join();
-    reclaimer.join();
-}
-
-TEST(SimBugs, QsbrQuiescenceAfterLastUsePassesExhaustively) {
-    sim::ExploreOptions opts;
-    const auto res = sim::explore(opts, qsbr_late_quiesce_body);
-    EXPECT_TRUE(res.ok) << res.message;
-    EXPECT_TRUE(res.exhausted);
-}
-
-// ===========================================================================
 // Bug 11 — split-ordered lazy bucket init with the publish order flipped:
 // the initializer CAS-publishes its sentinel into the directory cell
 // *before* linking it into the parent's chain (tamp::kv's get_bucket
@@ -1067,10 +969,11 @@ TEST(SimBugs, SentinelLinkedBeforePublishPassesExhaustively) {
 // Bug 12 — EBR unpin before the last dereference: the reader pins, loads
 // the pointer, then goes idle *before* it is done with it.  Idle promises
 // "I hold nothing", so the collector may legitimately advance twice and
-// free the node between the unpin and the dereference.  The EBR twin of
-// Bug 10 (a guard that ends too early); the fixed order — unpin after the
-// last use — is tests/sim_test.cpp's
-// SimEbr.GracePeriodNeverFreesNodeInsidePinnedSection, same collector.
+// free the node between the unpin and the dereference: a guard that ends
+// too early, the deployment fault of every grace-period scheme rather
+// than a substrate bug.  The fixed order — unpin after the last use — is
+// tests/sim_test.cpp's SimEbr.GracePeriodNeverFreesNodeInsidePinnedSection,
+// same collector.
 // ===========================================================================
 
 struct EbrModel {
@@ -1129,7 +1032,7 @@ TEST(SimBugs, EbrUnpinBeforeLastUseFreesNodeStillInUse) {
 // ===========================================================================
 // Bug 13 — a shared grace period that frees one epoch early: the retirer
 // uses another thread's advance instead of running its own collect, as
-// GracePeriodDomain::retire() does when its batch fills, but frees at
+// EpochDomain::retire() does when its batch fills, but frees at
 // tag + 1 instead of tag + 2.  One advance only proves that every pinned
 // thread has seen the tag's epoch; a reader that pinned at the tag and
 // loaded the node before its unlink is still inside.  The fixed twin —

@@ -443,38 +443,36 @@ TEST(SimReclaim, HazardProtectScanNeverFreesProtectedNode) {
 }
 
 // ---------------------------------------------------------------------------
-// Reclamation: the QSBR grace-period handshake
+// The announce/advance handshake (a row of the DPOR catalog below)
 // ---------------------------------------------------------------------------
 //
-// QSBR (tamp/reclaim/qsbr.hpp) inverts the hazard protocol: readers
-// publish nothing per-pointer; they report *quiescence* out of band by
-// copying the global interval into their per-thread `seen` counter (the
-// fallback flavor modeled here stores it seq_cst, as the sim build's
-// announce() does).  The collector advances the interval only when every
-// registered thread's `seen` has caught up, and frees a retired node only
+// A two-thread grace-period handshake in which the reader starts
+// announced and re-announces at operation boundaries: it copies the
+// global `interval` into its per-thread `seen` counter (stored seq_cst,
+// as the fallback's asym::publish does).  The collector advances the
+// interval only when `seen` has caught up, and frees a retired node only
 // two advances after its retire tag.  The property: a node can never be
-// freed between a reader's load of the pointer and that reader's *next*
-// quiescence report — the deref window QSBR's contract protects.
-//
-// `seen` starts equal to the interval (a thread registers quiesced, as
-// a QSBR record's constructor does), and the reader reports twice: the op
-// boundary after the deref, then the next one.
+// freed between the reader's load of the pointer and its next
+// announcement.  The reader announces twice: the op boundary after the
+// deref, then the next one.  The body has no test of its own; it is the
+// largest case that unbounded DFS exhausts, which is what the DPOR
+// catalog uses it for.
 
-void qsbr_grace_period_body() {
+void announce_advance_handshake_body() {
     tamp::atomic<int> src{0};  // which node the structure points at
-    tamp::atomic<std::uint32_t> interval{0};  // QsbrDomain interval
+    tamp::atomic<std::uint32_t> interval{0};  // the global period
     tamp::atomic<std::uint32_t> seen{0};      // reader's `announced`
     tamp::atomic<int> freed0{0};
 
     sim::thread reader([&] {
         const int p = src.load(std::memory_order_seq_cst);
         // Last point the reader may dereference its pointer: the op ends
-        // here, *before* the quiescence report below.
+        // here, *before* the announcement below.
         sim::assert_always(
             !(p == 0 && freed0.load(std::memory_order_relaxed) == 1),
             "node freed inside the reader's read-side section");
         seen.store(interval.load(std::memory_order_acquire),
-                   std::memory_order_seq_cst);  // quiescent(): op done
+                   std::memory_order_seq_cst);  // announce: op done
         seen.store(interval.load(std::memory_order_acquire),
                    std::memory_order_seq_cst);  // next op boundary
     });
@@ -500,20 +498,11 @@ void qsbr_grace_period_body() {
     reclaimer.join();
 }
 
-TEST(SimQsbr, GracePeriodNeverFreesNodeBeforeReaderQuiesces) {
-    sim::ExploreOptions opts;
-    const auto res = sim::explore(opts, qsbr_grace_period_body);
-    EXPECT_TRUE(res.ok) << res.message;
-    EXPECT_TRUE(res.exhausted);
-    EXPECT_GT(res.executions, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Reclamation: the EBR pin/advance handshake
 // ---------------------------------------------------------------------------
 //
-// EBR (tamp/reclaim/epoch.hpp) runs the same grace-period engine as QSBR
-// with the other announce policy: a thread is idle until its guard pins,
+// EBR (tamp/reclaim/epoch.hpp): a thread is idle until its guard pins,
 // announcing the epoch it observes, and goes idle again on unpin.  The
 // collector skips the advance while any non-idle record lags the epoch.
 // The pin is modeled as two steps — load the epoch, then store it — so the
@@ -915,8 +904,8 @@ std::vector<EquivCase> equivalence_cases() {
                      true, 742, 8, 0});
     cases.push_back(
         {"hazard_protect_scan", hazard_protect_scan_body, true, 42, 18, 0});
-    cases.push_back(
-        {"qsbr_grace_period", qsbr_grace_period_body, true, 6003, 584, 0});
+    cases.push_back({"announce_advance_handshake",
+                     announce_advance_handshake_body, true, 6003, 584, 0});
     cases.push_back(
         {"ebr_grace_period", ebr_grace_period_body, true, 1610, 314, 0});
     cases.push_back({"ebr_shared_grace_period", ebr_shared_grace_period_body,

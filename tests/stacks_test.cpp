@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "tamp/reclaim/domain.hpp"
 #include "tamp/stacks/stacks.hpp"
 #include "test_util.hpp"
 
@@ -84,8 +85,13 @@ class StackTest : public ::testing::Test {
     S stack_;
 };
 
+// Both stacks run over both reclamation domains: hazard pointers (the
+// default: the popper's hazard names the node it CASes off `top`) and
+// EBR (the guard's pin spans the whole pop).
 using StackTypes =
-    ::testing::Types<LockFreeStack<int>, EliminationBackoffStack<int>>;
+    ::testing::Types<LockFreeStack<int>, EliminationBackoffStack<int>,
+                     LockFreeStack<int, reclaim::ebr>,
+                     EliminationBackoffStack<int, reclaim::ebr>>;
 TYPED_TEST_SUITE(StackTest, StackTypes);
 
 TYPED_TEST(StackTest, LifoSingleThread) {
@@ -166,10 +172,11 @@ TYPED_TEST(StackTest, PerThreadLifoOrderVisible) {
     }
 }
 
-TEST(EliminationStack, EliminationPathDeliversValues) {
+template <typename Stack>
+void expect_elimination_path_delivers_values() {
     // Force heavy symmetric push/pop traffic on a small elimination array
     // so exchanges actually happen; conservation must still hold.
-    EliminationBackoffStack<int> s(/*elimination_capacity=*/1);
+    Stack s(/*elimination_capacity=*/1);
     constexpr int kPer = 4000;
     std::atomic<long> pushed{0}, popped{0};
     run_threads(4, [&](std::size_t me) {
@@ -192,6 +199,18 @@ TEST(EliminationStack, EliminationPathDeliversValues) {
     EXPECT_EQ(pushed.load(), popped.load());
     int out;
     EXPECT_FALSE(s.try_pop(out));
+}
+
+TEST(EliminationStack, EliminationPathDeliversValues) {
+    expect_elimination_path_delivers_values<EliminationBackoffStack<int>>();
+}
+
+// An eliminated pop deletes the pusher's node at once (it never reached
+// the stack); under EBR those deletes interleave with the retires of the
+// pops that won `top`.
+TEST(EliminationStack, EliminationPathDeliversValuesUnderEbr) {
+    expect_elimination_path_delivers_values<
+        EliminationBackoffStack<int, reclaim::ebr>>();
 }
 
 }  // namespace

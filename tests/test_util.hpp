@@ -84,7 +84,6 @@ struct ParkingReclaim {
     static void retire(T* p) {
         retire(p, [](void* q) { delete static_cast<T*>(q); });
     }
-    static void quiescent() {}
     static std::size_t pending() {
         std::lock_guard<std::mutex> lk(mu());
         return parked().size();

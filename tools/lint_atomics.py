@@ -90,14 +90,13 @@ follow (see README "Correctness tooling"):
 
   direct-reclaim-include
                        an `#include` of a concrete reclamation backend
-                       (tamp/reclaim/{epoch,grace_period,hazard_pointers,
-                       qsbr}.hpp) from src/tamp/ outside src/tamp/reclaim/
-                       itself.
+                       (tamp/reclaim/{epoch,hazard_pointers}.hpp) from
+                       src/tamp/ outside src/tamp/reclaim/ itself.
                        Structures consume reclamation through the
                        reclaim::domain concept (tamp/reclaim/domain.hpp),
                        which is what keeps them substrate-generic; a
-                       direct backend include hard-wires one scheme and
-                       silently bypasses the 3-way HP/EBR/QSBR ladder.
+                       direct backend include hard-wires one scheme where
+                       the structure's user should pick HP or EBR.
                        Infrastructure that genuinely needs one backend
                        (e.g. a benchmark fixture living in src/) takes
                        the annotation.
@@ -193,7 +192,7 @@ SPIN_PAUSE_RE = re.compile(
 # reclaim/ must include tamp/reclaim/domain.hpp instead.
 RECLAIM_BACKEND_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*[<"]tamp/reclaim/'
-    r'(?:epoch|grace_period|hazard_pointers|qsbr)\.hpp[>"]')
+    r'(?:epoch|hazard_pointers)\.hpp[>"]')
 
 
 def in_reclaim_include_scope(path):
@@ -979,18 +978,9 @@ SELF_TEST_CASES = [
     ("src/tamp/lists/hardwired.hpp",
      "#include \"tamp/reclaim/epoch.hpp\"\n"
      "#include \"tamp/reclaim/hazard_pointers.hpp\"\n"
-     "#include \"tamp/reclaim/qsbr.hpp\"\n"
      "#include \"tamp/reclaim/domain.hpp\"\n"
      "#include \"tamp/reclaim/asym_fence.hpp\"\n",
-     {(1, "direct-reclaim-include"), (2, "direct-reclaim-include"),
-      (3, "direct-reclaim-include")}),
-
-    # The grace-period engine under EBR and QSBR is a backend too: a
-    # structure including it directly hard-wires the engine.
-    ("src/tamp/skiplist/engine_direct.hpp",
-     "#include \"tamp/reclaim/grace_period.hpp\"\n"
-     "#include \"tamp/reclaim/domain.hpp\"\n",
-     {(1, "direct-reclaim-include")}),
+     {(1, "direct-reclaim-include"), (2, "direct-reclaim-include")}),
 
     # Inside reclaim/ the backends may include each other freely.
     ("src/tamp/reclaim/internal.hpp",
@@ -1002,7 +992,7 @@ SELF_TEST_CASES = [
     # bracket form must.
     ("src/tamp/queues/comment_include.hpp",
      "// #include \"tamp/reclaim/epoch.hpp\" — prose only\n"
-     "#include <tamp/reclaim/qsbr.hpp>\n",
+     "#include <tamp/reclaim/hazard_pointers.hpp>\n",
      {(2, "direct-reclaim-include")}),
 
     # The escape hatch, for infrastructure that genuinely needs one
