@@ -16,15 +16,19 @@
 // deterministic, with `Resp apply(const Inv&)`.  Log nodes are never
 // unlinked (later operations replay from the start), so the construction
 // owns them for its lifetime — the honest C++ rendering of what the
-// book's version quietly delegates to the JVM's GC.
+// book's version quietly delegates to the JVM's GC.  apply() allocates
+// its node with `new` and returns only once that node is threaded into
+// the log, so the log, reached from the sentinel through `next`, holds
+// every node and the destructor frees them by walking it: no arena, and
+// no lock for one.  An execution the model checker (TAMP_SIM) abandons
+// in the middle of an apply() may leave that apply()'s node unthreaded,
+// and so leaked; sim builds do not run LeakSanitizer.
 
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "tamp/consensus/consensus.hpp"
@@ -46,18 +50,29 @@ class LockFreeUniversal {
     };
 
   public:
-    explicit LockFreeUniversal(std::size_t n) : n_(n), head_(n) {
-        tail_ = allocate();
+    explicit LockFreeUniversal(std::size_t n)
+        : n_(n), tail_(new Node), head_(n) {
         tail_->seq.store(1, std::memory_order_relaxed);
         for (auto& h : head_) h.value.store(tail_, std::memory_order_relaxed);
     }
+
+    ~LockFreeUniversal() {
+        for (Node* node = tail_; node != nullptr;) {
+            Node* next = node->next.load(std::memory_order_relaxed);
+            delete node;
+            node = next;
+        }
+    }
+
+    LockFreeUniversal(const LockFreeUniversal&) = delete;
+    LockFreeUniversal& operator=(const LockFreeUniversal&) = delete;
 
     /// Linearizable apply: thread `me` threads `invoc` onto the log and
     /// returns the response the sequential object gives at that point.
     Resp apply(std::size_t me, const Inv& invoc) {
         assert(me < n_);
         sim::op_scope op("LockFreeUniversal::apply");
-        Node* prefer = allocate();
+        Node* prefer = new Node;
         prefer->invoc = invoc;
         while (prefer->seq.load(std::memory_order_acquire) == 0) {
             Node* before = max_head();
@@ -71,14 +86,6 @@ class LockFreeUniversal {
     }
 
   protected:
-    Node* allocate() {
-        auto owned = std::make_unique<Node>();
-        Node* raw = owned.get();
-        std::lock_guard<std::mutex> guard(arena_mu_);
-        arena_.push_back(std::move(owned));
-        return raw;
-    }
-
     /// The latest node any thread has observed at the log's end.
     Node* max_head() {
         Node* best = head_[0].value.load(std::memory_order_acquire);
@@ -108,8 +115,6 @@ class LockFreeUniversal {
     std::size_t n_;
     Node* tail_;  // sentinel, seq == 1
     std::vector<Padded<tamp::atomic<Node*>>> head_;
-    std::mutex arena_mu_;
-    std::vector<std::unique_ptr<Node>> arena_;
 };
 
 template <typename Obj, typename Inv, typename Resp>
@@ -129,7 +134,7 @@ class WaitFreeUniversal : public LockFreeUniversal<Obj, Inv, Resp> {
     Resp apply(std::size_t me, const Inv& invoc) {
         assert(me < this->n_);
         sim::op_scope op("WaitFreeUniversal::apply");
-        Node* mine = this->allocate();
+        Node* mine = new Node;
         mine->invoc = invoc;
         announce_[me].value.store(mine, std::memory_order_release);
         this->head_[me].value.store(this->max_head(),

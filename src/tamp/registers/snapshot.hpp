@@ -18,36 +18,28 @@
 //    register.
 //
 // Register cells hold (label, value, embedded-snapshot) — far too wide for
-// a machine word — so each cell is a pointer to an immutable record.  In
-// real builds the pointer is swapped via atomic<shared_ptr>, whose
-// reference counting reclaims records that scanners may still be reading
-// (the unsynchronized-GC substitution for the book's Java heap; see
-// DESIGN.md).  Under TAMP_SIM the cells ride the tamp::atomic facade
-// instead — shared_ptr is not trivially copyable, and the model checker
-// (including the progress probes of tamp/sim/progress.hpp) must see every
-// cell access as a schedule point — and records are kept alive in a
-// per-snapshot arena until the object dies.  Executions are short and the
-// structure is rebuilt per schedule, so the arena never grows meaningfully
-// there; production keeps shared_ptr because benchmarks hammer update()
-// for millions of iterations.
+// a machine word — so each cell is a tamp::atomic pointer to an immutable
+// record, in every build: the model checker (including the progress
+// probes of tamp/sim/progress.hpp) sees every cell access as a schedule
+// point, and release builds run the same lock-free code.  An update
+// retires the record it replaced through EBR (the substitution for the
+// book's Java heap, see DESIGN.md), and read() and scan() run under an
+// EBR guard, so a scanner never reads a freed record.  A scan holds every
+// cell's record at once, more than a hazard-pointer guard's three slots.
+// EBR's own state is std::atomic, which the model checker does not
+// schedule, so the sim explores exactly the cells' accesses.
 
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "tamp/core/backoff.hpp"
+#include "tamp/reclaim/domain.hpp"
 #include "tamp/sim/atomic.hpp"
-#include "tamp/sim/config.hpp"
 #include "tamp/sim/hooks.hpp"
-
-#if TAMP_SIM
-#include <mutex>
-#endif
 
 namespace tamp {
 
@@ -61,23 +53,36 @@ class SimpleSnapshot {
 
   public:
     explicit SimpleSnapshot(std::size_t n, T init = T{}) : cells_(n) {
-        for (auto& c : cells_) c.store(make_record(Record{0, init}));
+        for (auto& c : cells_) c.store(new Record{0, init});
     }
 
+    ~SimpleSnapshot() {
+        for (auto& c : cells_) delete c.load();
+    }
+
+    SimpleSnapshot(const SimpleSnapshot&) = delete;
+    SimpleSnapshot& operator=(const SimpleSnapshot&) = delete;
+
     /// Single writer per index: bump my label and publish the new value.
+    /// Only `me` replaces its record, so reading it needs no guard.
     void update(std::size_t me, T value) {
         assert(me < cells_.size());
         sim::op_scope op("SimpleSnapshot::update");
         const auto old = cells_[me].load();
-        cells_[me].store(make_record(Record{old->label + 1, value}));
+        cells_[me].store(new Record{old->label + 1, value});
+        reclaim::ebr::retire(const_cast<Record*>(old));
     }
 
     /// Wait-free read of one component.
-    T read(std::size_t i) const { return cells_[i].load()->value; }
+    T read(std::size_t i) const {
+        reclaim::ebr::guard guard;
+        return cells_[i].load()->value;
+    }
 
     /// Obstruction-free scan: retry until two collects agree everywhere.
     std::vector<T> scan() const {
         sim::op_scope op("SimpleSnapshot::scan");
+        reclaim::ebr::guard guard;
         auto old = collect();
         SpinWait w;
         while (true) {
@@ -103,38 +108,14 @@ class SimpleSnapshot {
     std::size_t size() const { return cells_.size(); }
 
   private:
-#if TAMP_SIM
-    using RecordPtr = const Record*;
-    using Cell = tamp::atomic<const Record*>;
-
-    RecordPtr make_record(Record&& r) const {
-        auto owned = std::make_unique<const Record>(std::move(r));
-        const Record* raw = owned.get();
-        std::lock_guard<std::mutex> lk(arena_mu_);  // not held across cells
-        arena_.push_back(std::move(owned));
-        return raw;
-    }
-#else
-    using RecordPtr = std::shared_ptr<const Record>;
-    using Cell = std::atomic<std::shared_ptr<const Record>>;
-
-    RecordPtr make_record(Record&& r) const {
-        return std::make_shared<const Record>(std::move(r));
-    }
-#endif
-
-    std::vector<RecordPtr> collect() const {
-        std::vector<RecordPtr> out;
+    std::vector<const Record*> collect() const {
+        std::vector<const Record*> out;
         out.reserve(cells_.size());
         for (const auto& c : cells_) out.push_back(c.load());
         return out;
     }
 
-    mutable std::vector<Cell> cells_;
-#if TAMP_SIM
-    mutable std::mutex arena_mu_;
-    mutable std::vector<std::unique_ptr<const Record>> arena_;
-#endif
+    std::vector<tamp::atomic<const Record*>> cells_;
 };
 
 /// Wait-free snapshot with embedded scans (Fig. 4.21).
@@ -149,25 +130,37 @@ class WaitFreeSnapshot {
   public:
     explicit WaitFreeSnapshot(std::size_t n, T init = T{}) : cells_(n) {
         const std::vector<T> zero(n, init);
-        for (auto& c : cells_) c.store(make_record(Record{0, init, zero}));
+        for (auto& c : cells_) c.store(new Record{0, init, zero});
     }
 
+    ~WaitFreeSnapshot() {
+        for (auto& c : cells_) delete c.load();
+    }
+
+    WaitFreeSnapshot(const WaitFreeSnapshot&) = delete;
+    WaitFreeSnapshot& operator=(const WaitFreeSnapshot&) = delete;
+
     /// Update = scan, then publish (label+1, value, that scan).  The
-    /// embedded scan is what makes concurrent scanners wait-free.
+    /// embedded scan is what makes concurrent scanners wait-free.  Only
+    /// `me` replaces its record, so reading it needs no guard.
     void update(std::size_t me, T value) {
         assert(me < cells_.size());
         sim::op_scope op("WaitFreeSnapshot::update");
         std::vector<T> snap = scan();
         const auto old = cells_[me].load();
-        cells_[me].store(
-            make_record(Record{old->label + 1, value, std::move(snap)}));
+        cells_[me].store(new Record{old->label + 1, value, std::move(snap)});
+        reclaim::ebr::retire(const_cast<Record*>(old));
     }
 
-    T read(std::size_t i) const { return cells_[i].load()->value; }
+    T read(std::size_t i) const {
+        reclaim::ebr::guard guard;
+        return cells_[i].load()->value;
+    }
 
     /// Wait-free scan: bounded by two observed moves per register.
     std::vector<T> scan() const {
         sim::op_scope op("WaitFreeSnapshot::scan");
+        reclaim::ebr::guard guard;
         const std::size_t n = cells_.size();
         std::vector<bool> moved(n, false);
         auto old = collect();
@@ -198,38 +191,14 @@ class WaitFreeSnapshot {
     std::size_t size() const { return cells_.size(); }
 
   private:
-#if TAMP_SIM
-    using RecordPtr = const Record*;
-    using Cell = tamp::atomic<const Record*>;
-
-    RecordPtr make_record(Record&& r) const {
-        auto owned = std::make_unique<const Record>(std::move(r));
-        const Record* raw = owned.get();
-        std::lock_guard<std::mutex> lk(arena_mu_);  // not held across cells
-        arena_.push_back(std::move(owned));
-        return raw;
-    }
-#else
-    using RecordPtr = std::shared_ptr<const Record>;
-    using Cell = std::atomic<std::shared_ptr<const Record>>;
-
-    RecordPtr make_record(Record&& r) const {
-        return std::make_shared<const Record>(std::move(r));
-    }
-#endif
-
-    std::vector<RecordPtr> collect() const {
-        std::vector<RecordPtr> out;
+    std::vector<const Record*> collect() const {
+        std::vector<const Record*> out;
         out.reserve(cells_.size());
         for (const auto& c : cells_) out.push_back(c.load());
         return out;
     }
 
-    mutable std::vector<Cell> cells_;
-#if TAMP_SIM
-    mutable std::mutex arena_mu_;
-    mutable std::vector<std::unique_ptr<const Record>> arena_;
-#endif
+    std::vector<tamp::atomic<const Record*>> cells_;
 };
 
 }  // namespace tamp

@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "tamp/reclaim/domain.hpp"
 #include "tamp/registers/registers.hpp"
 #include "test_util.hpp"
 
@@ -314,6 +315,22 @@ TYPED_TEST(SnapshotTest, ScanReflectsOwnPriorUpdate) {
     }
     stop.store(true);
     noise.join();
+}
+
+TYPED_TEST(SnapshotTest, ReplacedRecordsWaitInEbrUntilADrain) {
+    // Each update retires the record it replaced; a thread retiring fewer
+    // than one grace-period batch attempts no collect, so all of them stay
+    // pending until the drain frees them.
+    reclaim::ebr::drain();
+    const std::size_t before = reclaim::ebr::pending();
+    {
+        TypeParam snap(2, 0);
+        for (long v = 1; v <= 100; ++v) snap.update(0, v);
+        EXPECT_EQ(snap.scan()[0], 100);
+    }
+    EXPECT_EQ(reclaim::ebr::pending(), before + 100);
+    reclaim::ebr::drain();
+    EXPECT_EQ(reclaim::ebr::pending(), 0u);
 }
 
 TEST(WaitFreeSnapshotTest, UpdateEmbedsConsistentSnapshot) {

@@ -1,711 +1,378 @@
 #!/usr/bin/env python3
-"""Custom atomics lint for the tamp codebase.
+"""Atomics lint for the tamp sources: ten rules for conventions that no
+compiler checks (README "Correctness tooling").  The rule table, RULES in
+tools/lint_atomics.py, gives each rule's scope, message and rationale.
 
-Ten rules, each encoding a convention the concurrent code is expected to
-follow (see README "Correctness tooling"):
+A finding on line N is suppressed when line N or line N-1 carries
+`// tamp-lint: allow(<rule>)` (comma-separate several rules), and a whole
+file opts out of a rule with `// tamp-lint: allow-file(<rule>)`.  Give the
+reason in the surrounding comment; bare allows are poor form.
 
-  cas-strong-loop      compare_exchange_strong inside a loop body or loop
-                       condition.  In a retry loop the failure path
-                       re-reads and retries anyway, so the cheaper
-                       compare_exchange_weak (which may fail spuriously)
-                       suffices; _strong in a loop is either a missed
-                       optimization or — when the single-attempt semantics
-                       are intentional, e.g. helping CASes and elimination
-                       hand-offs — deserves an explicit annotation.
-
-  cas-relaxed-success  compare_exchange_{weak,strong} whose *success*
-                       ordering is memory_order_relaxed.  A successful CAS
-                       is nearly always a publication or acquisition point;
-                       relaxed success is legal only for pure bookkeeping
-                       (statistics, monotonic maxima) and must say so.
-
-  volatile-sync        `volatile` used outside `asm volatile`.  volatile is
-                       not a synchronization primitive in C++; shared state
-                       must be std::atomic.
-
-  atomic-align         a class declaring two or more std::atomic data
-                       members where some (non-array) member lacks alignas
-                       cache-line padding: adjacent hot atomics false-share
-                       (Herlihy & Shavit App. B.6).  Members of *nested*
-                       structs (queue/list nodes, per-thread records) are
-                       exempt — padding every node would bloat the very
-                       structures the book sizes carefully.
-
-  raw-atomic           direct std::atomic / std::atomic_flag inside the
-                       facade-migrated families (src/tamp/{mutex,spin,
-                       stacks,queues,lists,kv}/).  Those families declare
-                       shared state as tamp::atomic (tamp/sim/atomic.hpp)
-                       so the TAMP_SIM model checker can schedule every
-                       access; a raw std::atomic is invisible to the
-                       checker.  Other directories (core/, obs/, sim/,
-                       reclaim/, check/, ...) are out of scope — the
-                       scheduler itself and the infrastructure it rides on
-                       must obviously stay on std::atomic.
-
-  plain-shared-member  a mutable scalar or pointer data member inside the
-                       facade-migrated families.  Objects of those classes
-                       are shared across threads, so every mutable member
-                       is either synchronized (tamp::atomic), a plain field
-                       whose cross-thread ordering the sim race detector
-                       should check (tamp::shared, tamp/sim/shared.hpp), or
-                       immutable (const).  A bare `int`/`Node*` member is
-                       invisible to the checker; lock-guarded fields that
-                       stay plain on purpose take the annotation with the
-                       guarding lock named in the surrounding comment.
-
-  seqcst-store-reclaim a `.store(..., memory_order_seq_cst)` inside
-                       src/tamp/reclaim/.  The reclamation read side runs
-                       the asymmetric-fence protocol (release store +
-                       compiler barrier; the scanner's membarrier carries
-                       the store-load ordering), so a seq_cst store there
-                       is either dead weight on the fast path or part of
-                       the deliberate fallback branch — which must say so
-                       with an annotation.  Other directories are out of
-                       scope: seq_cst stores elsewhere are an ordinary
-                       (if blunt) tool.
-
-  spin-needs-pause     a spin-wait loop — a while/do loop whose *condition*
-                       reads an atomic (.load/.exchange/.test/
-                       .test_and_set) — with no pause anywhere in the loop:
-                       no SpinWait::spin, Backoff::backoff, cpu_relax,
-                       yield, wait, or park call.  A pauseless spin hammers
-                       the cache line it waits on, starving the very writer
-                       it is waiting for (Herlihy & Shavit §7.4/App. B),
-                       and under TAMP_SIM it also hides the spin from the
-                       scheduler's spin-hint parking.  Scoped to the hot
-                       spin families src/tamp/{spin,mutex,queues,stacks}/.
-                       CAS retry loops (compare_exchange in the condition)
-                       are out of scope: they re-attempt, not re-read.
-
-  obs-tag-registered   an `obs::ev::<tag>` use (counter, histogram, or
-                       timer instantiation) whose tag struct is not
-                       declared in src/tamp/obs/events.hpp.  events.hpp is
-                       the single vocabulary of instrumentation points; a
-                       tag minted ad hoc in a structure header is
-                       invisible to anyone auditing what the library can
-                       report.  Scoped to src/tamp/ outside obs/ itself
-                       (the obs headers use `Tag` template parameters and
-                       define the vocabulary; local test tags in tests/
-                       are out of scope by the default roots).
-
-  direct-reclaim-include
-                       an `#include` of a concrete reclamation backend
-                       (tamp/reclaim/{epoch,hazard_pointers}.hpp) from
-                       src/tamp/ outside src/tamp/reclaim/ itself.
-                       Structures consume reclamation through the
-                       reclaim::domain concept (tamp/reclaim/domain.hpp),
-                       which is what keeps them substrate-generic; a
-                       direct backend include hard-wires one scheme where
-                       the structure's user should pick HP or EBR.
-                       Infrastructure that genuinely needs one backend
-                       (e.g. a benchmark fixture living in src/) takes
-                       the annotation.
-
-Escape hatch: a finding on line N is suppressed when line N or line N-1
-carries `// tamp-lint: allow(<rule>)` (comma-separate several rules), and
-a whole file opts out of one rule with `// tamp-lint: allow-file(<rule>)`.
-Use the hatch with a reason in the surrounding comment; bare allows are
-poor form.
-
-Exit status: 0 when clean, 1 when any unsuppressed finding remains,
-2 on usage errors.
+Exit status: 0 when clean, 1 when any unsuppressed finding remains, 2 on
+usage errors.
 """
 
 import argparse
+import bisect
 import os
 import re
 import sys
 
+# The families migrated onto the tamp::atomic facade (tamp/sim/atomic.hpp).
+FACADE = ("/tamp/mutex/", "/tamp/spin/", "/tamp/stacks/", "/tamp/queues/",
+          "/tamp/lists/", "/tamp/kv/")
+
+# rule: (path fragments a file must contain one of, or () for every file;
+#        fragments it must contain none of; message)
 RULES = {
-    "cas-strong-loop": "compare_exchange_strong in a loop; _weak suffices "
-                       "in retry loops (annotate if single-attempt "
-                       "semantics are intentional)",
-    "cas-relaxed-success": "CAS success ordering is memory_order_relaxed; "
-                           "successful CAS is usually an acquire/release "
-                           "point",
-    "volatile-sync": "volatile is not a synchronization primitive; use "
-                     "std::atomic",
-    "atomic-align": "adjacent atomic members false-share; pad hot atomics "
-                    "with alignas(kCacheLineSize)",
-    "raw-atomic": "raw std::atomic in a facade-migrated family; use "
-                  "tamp::atomic (tamp/sim/atomic.hpp) so TAMP_SIM can "
-                  "schedule the access",
-    "seqcst-store-reclaim": "seq_cst store on the reclamation read side; "
-                            "the asymmetric-fence protocol wants a release "
-                            "store (annotate deliberate fallback branches)",
-    "plain-shared-member": "mutable plain member in a facade-migrated "
-                           "family; use tamp::atomic, tamp::shared "
-                           "(tamp/sim/shared.hpp), or const — annotate "
-                           "lock-guarded fields, naming the lock",
-    "obs-tag-registered": "not declared in src/tamp/obs/events.hpp; every "
-                          "obs::ev tag must join the shared event "
-                          "vocabulary there",
-    "spin-needs-pause": "spin-wait loop with no pause; spin through "
-                        "SpinWait/Backoff (or cpu_relax/yield) so the "
-                        "waiter stops hammering the line and the sim "
-                        "scheduler sees the spin",
-    "direct-reclaim-include": "direct include of a concrete reclamation "
-                              "backend; consume reclamation through the "
-                              "reclaim::domain concept "
-                              "(tamp/reclaim/domain.hpp) instead",
+    # In a retry loop (body or condition) the failure path re-reads and
+    # retries anyway, so the cheaper compare_exchange_weak, which may fail
+    # spuriously, suffices.  _strong there is a missed optimization or,
+    # where single-attempt semantics are intended (helping CASes,
+    # elimination hand-offs), deserves an annotation.
+    "cas-strong-loop": ((), (), "compare_exchange_strong in a loop; _weak "
+                        "suffices in retry loops (annotate if single-attempt "
+                        "semantics are intentional)"),
+    # A successful CAS is nearly always a publication or acquisition point;
+    # a relaxed success order is legal only for pure bookkeeping
+    # (statistics, monotonic maxima) and must say so.
+    "cas-relaxed-success": ((), (), "CAS success ordering is "
+                            "memory_order_relaxed; successful CAS is usually "
+                            "an acquire/release point"),
+    # volatile (outside `asm volatile`) is not a synchronization primitive
+    # in C++; shared state must be atomic.
+    "volatile-sync": ((), (), "volatile is not a synchronization primitive; "
+                      "use std::atomic"),
+    # A top-level class with two or more std::atomic data members where a
+    # non-array member has no alignas padding (on its line or the line
+    # above): adjacent hot atomics false-share (Herlihy & Shavit App. B.6).
+    # Nested structs (nodes, per-thread records) are exempt: padding every
+    # node would bloat the structures the book sizes carefully.
+    "atomic-align": ((), (), "adjacent atomic members false-share; pad hot "
+                     "atomics with alignas(kCacheLineSize)"),
+    # The facade families declare shared state as tamp::atomic so the
+    # TAMP_SIM model checker can schedule every access; a raw std::atomic
+    # or std::atomic_flag is invisible to it.  The scheduler and the
+    # infrastructure it rides on (core/, obs/, sim/, reclaim/, ...) stay on
+    # std::atomic.
+    "raw-atomic": (FACADE, (), "raw std::atomic in a facade-migrated family; "
+                   "use tamp::atomic (tamp/sim/atomic.hpp) so TAMP_SIM can "
+                   "schedule the access"),
+    # The reclamation read side runs the asymmetric-fence protocol (release
+    # store plus compiler barrier; the scanner's membarrier supplies the
+    # store-load order), so a seq_cst `.store` there is dead weight on the
+    # fast path or belongs to the deliberate fallback branch, which says so.
+    "seqcst-store-reclaim": (("/tamp/reclaim/",), (), "seq_cst store on the "
+                             "reclamation read side; the asymmetric-fence "
+                             "protocol wants a release store (annotate "
+                             "deliberate fallback branches)"),
+    # Objects of the facade families are shared across threads, so each
+    # mutable data member is synchronized (tamp::atomic), a plain field the
+    # sim race detector checks (tamp::shared, tamp/sim/shared.hpp), or
+    # const.  A bare scalar or pointer member is invisible to the checker;
+    # a lock-guarded field kept plain on purpose takes the annotation and
+    # names its lock.
+    "plain-shared-member": (FACADE, (), "mutable plain member in a "
+                            "facade-migrated family; use tamp::atomic, "
+                            "tamp::shared (tamp/sim/shared.hpp), or const — "
+                            "annotate lock-guarded fields, naming the lock"),
+    # events.hpp is the one vocabulary of instrumentation points: a tag
+    # minted in a structure header is invisible to anyone auditing what
+    # the library can report.  The obs headers define the vocabulary and
+    # take `Tag` template parameters.
+    "obs-tag-registered": (("/src/tamp/",), ("/src/tamp/obs/",), "not "
+                           "declared in src/tamp/obs/events.hpp; every "
+                           "obs::ev tag must join the shared event "
+                           "vocabulary there"),
+    # A while loop whose condition reads an atomic (.load, .exchange,
+    # .test, .test_and_set), or a do loop whose condition or body does,
+    # with no SpinWait::spin, Backoff::backoff, cpu_relax, yield, wait or
+    # park call in it: a pauseless spin hammers the line it waits on,
+    # starving the writer it waits for (Herlihy & Shavit §7.4, App. B), and
+    # hides the spin from the sim scheduler's spin-hint parking.  A CAS
+    # retry loop re-attempts rather than re-reads, so it is exempt.
+    "spin-needs-pause": (("/tamp/spin/", "/tamp/mutex/", "/tamp/queues/",
+                          "/tamp/stacks/"), (), "spin-wait loop with no "
+                         "pause; spin through SpinWait/Backoff (or "
+                         "cpu_relax/yield) so the waiter stops hammering the "
+                         "line and the sim scheduler sees the spin"),
+    # Structures consume reclamation through the reclaim::domain concept
+    # (tamp/reclaim/domain.hpp), which keeps them substrate-generic; an
+    # include of a backend (epoch, hazard_pointers) hard-wires a scheme the
+    # structure's user should pick.  The backends may include each other;
+    # infrastructure that needs one backend takes the annotation.
+    "direct-reclaim-include": (("/src/tamp/",), ("/src/tamp/reclaim/",),
+                               "direct include of a concrete reclamation "
+                               "backend; consume reclamation through the "
+                               "reclaim::domain concept "
+                               "(tamp/reclaim/domain.hpp) instead"),
 }
 
-# Directories (under src/tamp/) whose families have been migrated onto the
-# tamp::atomic facade; the raw-atomic rule fires only inside these.
-FACADE_DIRS = ("mutex", "spin", "stacks", "queues", "lists", "kv")
-
-
-def in_facade_scope(path):
-    norm = os.path.abspath(path).replace(os.sep, "/")
-    return any("/tamp/%s/" % d in norm for d in FACADE_DIRS)
-
-
-def in_reclaim_scope(path):
-    norm = os.path.abspath(path).replace(os.sep, "/")
-    return "/tamp/reclaim/" in norm
-
-
-# Directories whose spin loops are hot enough for spin-needs-pause.
-SPIN_PAUSE_DIRS = ("spin", "mutex", "queues", "stacks")
-
-
-def in_spin_pause_scope(path):
-    norm = os.path.abspath(path).replace(os.sep, "/")
-    return any("/tamp/%s/" % d in norm for d in SPIN_PAUSE_DIRS)
-
-
-# A loop condition that *reads* an atomic: the signature of a spin-wait.
-# compare_exchange_{weak,strong} deliberately does not match — a CAS retry
-# loop re-attempts an update rather than re-reading a line, and its pacing
-# is the cas rules' business.
+WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+# A comment, or a string or char literal (its quote in group 1, its
+# contents in group 2): what strip() blanks.
+LITERAL_RE = re.compile(r"//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)"
+                        r"|([\"'])((?:(?!\1)[^\\]|\\[\s\S]?)*)\1?")
+TOKEN_RE = re.compile(WORD + r"|[{};]")
+OPEN_RE = re.compile(r"\s*\(")
+SPACE_RE = re.compile(r"\s*")
+ORDER_RE = re.compile(r"memory_order_(\w+)")
+ALLOW_RE = re.compile(r"tamp-lint:\s*allow(-file)?\(([a-z\-, ]+)\)")
+BACKEND_INCLUDE_RE = re.compile(
+    r'^\s*#\s*include\s*[<"]tamp/reclaim/(?:epoch|hazard_pointers)\.hpp[>"]')
+TAG_USE_RE = re.compile(r"\bev::(" + WORD + ")")
+# A loop condition that reads an atomic: a spin-wait's signature.  A CAS
+# does not match; its retry loop's pacing is the cas rules' business.
 SPIN_COND_RE = re.compile(
     r"(?:\.|->)\s*(?:load|exchange|test|test_and_set)\s*\(")
-
-# Anything that counts as "pausing" inside the loop: the library's SpinWait
-# / Backoff funnels, a raw cpu_relax/pause hint, an OS yield, a futex-style
-# wait, or a scheduler park.
 SPIN_PAUSE_RE = re.compile(
     r"\b(?:spin|backoff|cpu_relax|pause|yield|wait|park)\w*\s*\(")
+# What follows a std::atomic<...> member's template arguments.
+MEMBER_DECL_RE = re.compile(r"\s*(" + WORD + r")\s*([;\[{=])")
 
-
-# Concrete reclamation backends; everything under src/tamp/ outside
-# reclaim/ must include tamp/reclaim/domain.hpp instead.
-RECLAIM_BACKEND_INCLUDE_RE = re.compile(
-    r'^\s*#\s*include\s*[<"]tamp/reclaim/'
-    r'(?:epoch|hazard_pointers)\.hpp[>"]')
-
-
-def in_reclaim_include_scope(path):
-    """direct-reclaim-include fires for src/tamp/ files outside the
-    reclaim/ directory itself (the backends' own cross-includes are the
-    substrate's business)."""
-    norm = os.path.abspath(path).replace(os.sep, "/")
-    return "/src/tamp/" in norm and "/src/tamp/reclaim/" not in norm
-
-
-def scan_reclaim_includes(raw_lines):
-    """The direct-reclaim-include pass: runs on *raw* lines (the stripper
-    blanks string literals, and include paths are string literals)."""
-    findings = []
-    for i, line in enumerate(raw_lines, start=1):
-        if RECLAIM_BACKEND_INCLUDE_RE.match(line):
-            findings.append((i, "direct-reclaim-include",
-                             RULES["direct-reclaim-include"]))
-    return findings
-
-
-def in_obs_tag_scope(path):
-    """obs-tag-registered fires for src/tamp/ files outside obs/ (the obs
-    headers define the vocabulary and use `Tag` template parameters)."""
-    norm = os.path.abspath(path).replace(os.sep, "/")
-    return "/src/tamp/" in norm and "/src/tamp/obs/" not in norm
-
-
-_EVENTS_TAGS_CACHE = {}
-_EVENTS_STRUCT_RE = re.compile(r"\bstruct\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{")
-OBS_TAG_USE_RE = re.compile(r"\bev::([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def registered_event_tags(path):
-    """The tag structs declared in the events.hpp governing `path` (the
-    repo's src/tamp/obs/events.hpp, resolved relative to the file's own
-    src/tamp/ root so the self-test can fixture one).  None when there is
-    no events.hpp to check against."""
-    norm = os.path.abspath(path).replace(os.sep, "/")
-    idx = norm.rfind("/src/tamp/")
-    if idx == -1:
-        return None
-    events = norm[:idx] + "/src/tamp/obs/events.hpp"
-    if events not in _EVENTS_TAGS_CACHE:
-        try:
-            with open(events, encoding="utf-8") as f:
-                text = strip_comments_and_strings(f.read())
-            _EVENTS_TAGS_CACHE[events] = set(
-                _EVENTS_STRUCT_RE.findall(text))
-        except OSError:
-            _EVENTS_TAGS_CACHE[events] = None
-    return _EVENTS_TAGS_CACHE[events]
-
-ALLOW_RE = re.compile(r"tamp-lint:\s*allow\(([a-z\-, ]+)\)")
-ALLOW_FILE_RE = re.compile(r"tamp-lint:\s*allow-file\(([a-z\-, ]+)\)")
-
-LOOP_KEYWORDS = {"while", "for", "do"}
-CLASS_KEYWORDS = {"class", "struct", "union"}
-
-
-def collect_allows(raw_lines):
-    """Map rule -> set of suppressed line numbers (1-based); the special
-    line 0 means file-wide."""
-    allowed = {rule: set() for rule in RULES}
-    for i, line in enumerate(raw_lines, start=1):
-        m = ALLOW_FILE_RE.search(line)
-        if m:
-            for rule in re.split(r"[,\s]+", m.group(1).strip()):
-                if rule in allowed:
-                    allowed[rule].add(0)
-        m = ALLOW_RE.search(line)
-        if m:
-            for rule in re.split(r"[,\s]+", m.group(1).strip()):
-                if rule in allowed:
-                    allowed[rule].add(i)
-                    allowed[rule].add(i + 1)
-    return allowed
-
-
-def strip_comments_and_strings(text):
-    """Blank out comments, string and char literals, preserving offsets
-    and newlines so line numbers survive."""
-    out = list(text)
-    i, n = 0, len(text)
-    state = None  # None | 'line' | 'block' | 'str' | 'chr'
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state is None:
-            if c == "/" and nxt == "/":
-                state = "line"
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block"
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == '"':
-                state = "str"
-                i += 1
-                continue
-            if c == "'":
-                state = "chr"
-                i += 1
-                continue
-        elif state == "line":
-            if c == "\n":
-                state = None
-            else:
-                out[i] = " "
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                out[i] = out[i + 1] = " "
-                state = None
-                i += 2
-                continue
-            if c != "\n":
-                out[i] = " "
-        elif state in ("str", "chr"):
-            quote = '"' if state == "str" else "'"
-            if c == "\\":
-                out[i] = " "
-                if i + 1 < n and text[i + 1] != "\n":
-                    out[i + 1] = " "
-                i += 2
-                continue
-            if c == quote:
-                state = None
-            elif c != "\n":
-                out[i] = " "
-        i += 1
-    return "".join(out)
-
-
-WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-# -- plain-shared-member helpers -------------------------------------------
-
-# Member types that are already synchronized, checked, or inert: these make
-# a declaration exempt wherever they appear in it.
+# plain-shared-member: types already synchronized, checked or inert make a
+# declaration exempt, as do these keywords; the scalar shapes it flags
+# beyond pointers are arithmetic types, the payload parameter T and the
+# NodeKind/Kind enum convention.
 SYNCED_TYPE_RE = re.compile(
     r"tamp::atomic|tamp::shared|std::atomic|atomic_flag|AtomicMarkedPtr|"
     r"AtomicStampedIndex|std::mutex|std::condition_variable|std::vector|"
     r"std::array|std::unique_ptr|std::chrono|Padded<")
-
-# Keywords that make the declaration not a mutable plain data member.
 EXEMPT_KEYWORDS = {"const", "constexpr", "static", "using", "typedef",
                    "friend", "operator", "return", "template", "enum"}
-
-# The scalar shapes the rule cares about (beyond pointer declarators):
-# fundamental arithmetic types, the payload template parameter T, and the
-# NodeKind/Kind enum convention.
 PLAIN_SCALAR_RE = re.compile(
     r"(?:^|\s)(?:bool|char|short|int|long|float|double|unsigned|signed|"
     r"(?:std::)?size_t|(?:std::)?ptrdiff_t|(?:std::)?u?int(?:8|16|32|64)_t|"
     r"(?:std::)?u?intptr_t|T|[A-Za-z_][A-Za-z0-9_]*Kind|Kind)\s*$")
+MEMBER_NAME_RE = re.compile(r"(" + WORD + r")\s*(?:\[[^\]]*\]\s*)?$")
 
-MEMBER_NAME_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[[^\]]*\]\s*)?$")
-
-
-def plain_member_name(decl):
-    """If `decl` (one class-scope declaration, comments stripped, no
-    trailing ';') is a mutable plain scalar/pointer data member, return its
-    name; else None."""
-    d = re.sub(r"\b(?:public|private|protected)\s*:", " ", decl)
-    if "(" in d or "&" in d:
-        return None  # function, ctor, or reference member
-    words = set(WORD_RE.findall(d))
-    if words & EXEMPT_KEYWORDS:
-        return None
-    if SYNCED_TYPE_RE.search(d):
-        return None
-    d_noinit = re.split(r"[={]", d, 1)[0].strip()
-    m = MEMBER_NAME_RE.search(d_noinit)
-    if not m:
-        return None
-    name = m.group(1)
-    type_text = d_noinit[:m.start()].strip()
-    if not type_text:
-        return None
-    if "*" in type_text or PLAIN_SCALAR_RE.search(type_text):
-        return name
-    return None
+PARTNER = {"(": ")", "{": "}", "<": ">", "}": "{"}
+EVENT_TAGS = {}  # events.hpp path -> the tags it declares, or None
 
 
-class Scope:
-    __slots__ = ("kind",)
-
-    def __init__(self, kind):
-        self.kind = kind  # 'loop' | 'class' | 'block'
-
-
-def matching_paren(text, open_idx):
-    depth = 0
-    for j in range(open_idx, len(text)):
-        if text[j] == "(":
-            depth += 1
-        elif text[j] == ")":
-            depth -= 1
-            if depth == 0:
-                return j
-    return len(text) - 1
+def strip(text):
+    """Blank comments and literal contents, keeping newlines and quotes so
+    that offsets and line numbers survive."""
+    return LITERAL_RE.sub(
+        lambda m: re.sub(r"[^\n]", " ", m[0]) if m[1] is None else
+        m[1] + re.sub(r"[^\n]", " ", m[2]) + m[0][len(m[2]) + 1:], text)
 
 
-def matching_brace(text, open_idx):
-    depth = 0
-    for j in range(open_idx, len(text)):
-        if text[j] == "{":
-            depth += 1
-        elif text[j] == "}":
-            depth -= 1
-            if depth == 0:
-                return j
-    return len(text) - 1
+def match(text, i):
+    """Offset of the bracket paired with text[i]: the one closing a '(',
+    '{' or '<', or the one opening a '}'.  Unpaired, the text's last offset
+    when searching forward and -1 when searching back."""
+    o, c = text[i], PARTNER[text[i]]
+    step, depth = (-1 if o == "}" else 1), 0
+    while 0 <= i < len(text):
+        depth += (text[i] == o) - (text[i] == c)
+        if depth == 0:
+            return i
+        i += step
+    return min(i, len(text) - 1)
 
 
-def brace_open_of(text, close_idx):
-    """Offset of the '{' matching the '}' at close_idx, or -1."""
-    depth = 0
-    for j in range(close_idx, -1, -1):
-        if text[j] == "}":
-            depth += 1
-        elif text[j] == "{":
-            depth -= 1
-            if depth == 0:
-                return j
-    return -1
+def event_tags(norm):
+    """The tag structs declared in the obs/events.hpp of the src/tamp/ tree
+    holding `norm` (so the self-test can fixture one), or None."""
+    events = norm[:norm.rfind("/src/tamp/")] + "/src/tamp/obs/events.hpp"
+    if events not in EVENT_TAGS:
+        try:
+            with open(events, encoding="utf-8") as f:
+                EVENT_TAGS[events] = set(re.findall(
+                    r"\bstruct\s+(" + WORD + r")\s*\{", strip(f.read())))
+        except OSError:
+            EVENT_TAGS[events] = None
+    return EVENT_TAGS[events]
 
 
-def matching_angle(text, open_idx):
-    """End of a template argument list starting at '<'; tolerates nested
-    <> and ()."""
-    depth = 0
-    for j in range(open_idx, len(text)):
-        c = text[j]
-        if c == "<":
-            depth += 1
-        elif c == ">":
-            depth -= 1
-            if depth == 0:
-                return j
-    return -1
-
-
-def line_of(text, idx, line_starts):
-    """1-based line number of offset idx (line_starts is sorted)."""
-    lo, hi = 0, len(line_starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if line_starts[mid] <= idx:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 1
-
-
-def scan_spin_pause(text, line_starts):
-    """The spin-needs-pause pass: `text` is comment/string-stripped source
-    from a file inside SPIN_PAUSE_DIRS."""
-    findings = []
-    n = len(text)
-
-    def report(idx):
-        findings.append((line_of(text, idx, line_starts),
-                         "spin-needs-pause", RULES["spin-needs-pause"]))
-
-    # while (<atomic read>) <body> — the body (or, for an empty body,
-    # nothing at all) must pause.
+def spin_waits(text):
+    """Offsets of the spin-wait loops with no pause in them."""
     for m in re.finditer(r"\bwhile\s*\(", text):
-        cond_open = m.end() - 1
-        cond_close = matching_paren(text, cond_open)
+        cond_open, cond_close = m.end() - 1, match(text, m.end() - 1)
         cond = text[cond_open:cond_close + 1]
         if not SPIN_COND_RE.search(cond):
             continue
         # A `} while (...)` do-tail belongs to the do-loop pass below.
         before = text[:m.start()].rstrip()
         if before.endswith("}"):
-            open_idx = brace_open_of(text, len(before) - 1)
-            if open_idx >= 0 and re.search(r"\bdo\s*$", text[:open_idx]):
+            body_open = match(text, len(before) - 1)
+            if body_open >= 0 and re.search(r"\bdo\s*$", text[:body_open]):
                 continue
-        k = cond_close + 1
-        while k < n and text[k].isspace():
-            k += 1
-        if k < n and text[k] == "{":
-            region = text[cond_open:matching_brace(text, k) + 1]
-        elif k >= n or text[k] == ";":
+        k = SPACE_RE.match(text, cond_close + 1).end()
+        if text[k:k + 1] == "{":
+            region = text[cond_open:match(text, k) + 1]
+        elif text[k:k + 1] in ("", ";"):
             region = cond  # empty body: nowhere to pause
         else:
-            semi = text.find(";", k)
-            region = text[cond_open:semi + 1 if semi != -1 else n]
+            region = text[cond_open:text.find(";", k) + 1 or None]
         if not SPIN_PAUSE_RE.search(region):
-            report(m.start())
-
-    # do { <body> } while (<cond>); — a do-loop's body re-executes every
-    # iteration, so an atomic read in the *body* also makes it a spin-wait
-    # (the MCS wait-for-link shape: do { x = next.load(); } while (!x)) —
-    # unless the condition is a CAS, which makes it a retry loop instead.
+            yield m.start()
+    # A do loop re-runs its body each iteration, so an atomic read there
+    # also makes it a spin-wait (MCS's wait for the successor link), unless
+    # the condition is a CAS, which makes it a retry loop.
     for m in re.finditer(r"\bdo\s*\{", text):
-        body_open = m.end() - 1
-        body_close = matching_brace(text, body_open)
-        m2 = re.match(r"\s*while\s*\(", text[body_close + 1:])
-        if not m2:
+        body_open, body_close = m.end() - 1, match(text, m.end() - 1)
+        tail = re.compile(r"\s*while\s*\(").match(text, body_close + 1)
+        if not tail:
             continue
-        cond_open = body_close + 1 + m2.end() - 1
-        cond_close = matching_paren(text, cond_open)
-        cond = text[cond_open:cond_close + 1]
-        body = text[body_open:body_close + 1]
-        is_spin = SPIN_COND_RE.search(cond) or (
-            SPIN_COND_RE.search(body)
-            and "compare_exchange" not in cond)
-        if is_spin and not SPIN_PAUSE_RE.search(
-                text[body_open:cond_close + 1]):
-            report(m.start())
-    return findings
+        cond_close = match(text, tail.end() - 1)
+        cond = text[tail.end() - 1:cond_close + 1]
+        if ((SPIN_COND_RE.search(cond) or (
+                SPIN_COND_RE.search(text[body_open:body_close + 1])
+                and "compare_exchange" not in cond))
+                and not SPIN_PAUSE_RE.search(
+                    text[body_open:cond_close + 1])):
+            yield m.start()
 
 
-def scan_file(path, raw_text):
-    """Return list of findings: (line, rule, message)."""
-    raw_atomic_scope = in_facade_scope(path)
-    reclaim_scope = in_reclaim_scope(path)
-    text = strip_comments_and_strings(raw_text)
-    raw_lines = raw_text.splitlines()
-    line_starts = [0]
-    for m in re.finditer(r"\n", text):
-        line_starts.append(m.end())
-
-    findings = []
-    if in_obs_tag_scope(path):
-        tags = registered_event_tags(path)
-        if tags is not None:
-            for m in OBS_TAG_USE_RE.finditer(text):
-                if m.group(1) not in tags:
-                    findings.append(
-                        (line_of(text, m.start(), line_starts),
-                         "obs-tag-registered",
-                         "tag 'ev::%s' %s" % (m.group(1),
-                                              RULES["obs-tag-registered"])))
-    if in_spin_pause_scope(path):
-        findings.extend(scan_spin_pause(text, line_starts))
-    if in_reclaim_include_scope(path):
-        findings.extend(scan_reclaim_includes(raw_lines))
-    scopes = []  # Scope stack for { }
-    # Loop-condition regions: [(start, end)] of while/for parens.
-    cond_regions = []
-    pending = None  # keyword expected to tag the next '{'
-    # atomic members: class-scope-id -> list of dicts
-    class_members = {}
-    class_ids = []  # parallel to scopes: unique id for class scopes
-    next_class_id = [0]
-
-    def in_loop(idx):
-        if any(s.kind == "loop" for s in scopes):
-            return True
-        return any(a <= idx < b for a, b in cond_regions)
-
-    def innermost_class():
-        """Id of innermost class scope when the scope stack is exactly
-        [non-class..., one class] from the outside in — i.e. the member
-        belongs to a top-level (non-nested) class."""
-        classes = [cid for cid, s in zip(class_ids, scopes)
-                   if s.kind == "class"]
-        if len(classes) == 1 and scopes and scopes[-1].kind == "class":
-            return classes[0]
+def plain_member_name(decl):
+    """The name `decl` (one class-scope declaration, stripped, without its
+    ';') declares if it is a mutable plain scalar or pointer data member,
+    else None."""
+    d = re.sub(r"\b(?:public|private|protected)\s*:", " ", decl)
+    if ("(" in d or "&" in d  # a function, a constructor or a reference
+            or set(re.findall(WORD, d)) & EXEMPT_KEYWORDS
+            or SYNCED_TYPE_RE.search(d)):
         return None
+    d = re.split(r"[={]", d, maxsplit=1)[0].strip()
+    m = MEMBER_NAME_RE.search(d)
+    type_text = d[:m.start()].strip() if m else ""
+    if type_text and ("*" in type_text or PLAIN_SCALAR_RE.search(type_text)):
+        return m[1]
+    return None
 
-    i, n = 0, len(text)
-    last_word = None
-    seg_start = 0  # start of the current class-scope declaration segment
-    while i < n:
-        c = text[i]
-        if c.isalpha() or c == "_":
-            m = WORD_RE.match(text, i)
-            word = m.group(0)
-            end = m.end()
-            if word in LOOP_KEYWORDS:
-                if word == "do":
-                    pending = "loop"
-                else:
-                    # Tag the condition parens; a `} while (...)` do-tail
-                    # also re-executes per iteration, so no distinction
-                    # needed.
-                    j = text.find("(", end)
-                    if j != -1 and text[end:j].strip() == "":
-                        close = matching_paren(text, j)
-                        cond_regions.append((j, close + 1))
-                        pending = "loop"
-            elif word in CLASS_KEYWORDS and last_word != "enum":
-                pending = "class"
-            elif word == "namespace":
-                pending = "block"
-            elif word == "volatile":
-                if last_word != "asm" and not text[end:].lstrip().startswith(
-                        "("):
-                    findings.append((line_of(text, i, line_starts),
-                                     "volatile-sync",
-                                     RULES["volatile-sync"]))
-            elif word in ("compare_exchange_strong",
-                          "compare_exchange_weak"):
-                line = line_of(text, i, line_starts)
-                if word == "compare_exchange_strong" and in_loop(i):
-                    findings.append((line, "cas-strong-loop",
-                                     RULES["cas-strong-loop"]))
-                j = text.find("(", end)
-                if j != -1:
-                    close = matching_paren(text, j)
-                    args = text[j:close + 1]
-                    orders = re.findall(r"memory_order_(\w+)", args)
-                    if orders and orders[0] == "relaxed":
-                        findings.append((line, "cas-relaxed-success",
-                                         RULES["cas-relaxed-success"]))
-            elif (word == "store" and reclaim_scope and i > 0
-                  and text[i - 1] in ".>"):
-                j = text.find("(", end)
-                if j != -1 and text[end:j].strip() == "":
-                    close = matching_paren(text, j)
-                    orders = re.findall(r"memory_order_(\w+)",
-                                        text[j:close + 1])
-                    if "seq_cst" in orders:
-                        findings.append((line_of(text, i, line_starts),
-                                         "seqcst-store-reclaim",
-                                         RULES["seqcst-store-reclaim"]))
-            elif word == "atomic_flag" and text[i - 5:i] == "std::":
-                if raw_atomic_scope:
-                    findings.append((line_of(text, i, line_starts),
-                                     "raw-atomic", RULES["raw-atomic"]))
-            elif word == "atomic" and text[i - 5:i] == "std::":
-                if raw_atomic_scope:
-                    findings.append((line_of(text, i, line_starts),
-                                     "raw-atomic", RULES["raw-atomic"]))
-                cid = innermost_class()
-                if cid is not None and text[end:end + 1] == "<":
-                    close = matching_angle(text, end)
-                    rest = text[close + 1:close + 200] if close > 0 else ""
-                    m2 = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*"
-                                  r"([;\[{=])", rest)
-                    if m2:
-                        line = line_of(text, i, line_starts)
-                        decl_prefix = raw_lines[line - 1]
-                        prev = raw_lines[line - 2] if line >= 2 else ""
-                        class_members.setdefault(cid, []).append({
-                            "line": line,
-                            "name": m2.group(1),
-                            "is_array": m2.group(2) == "[",
-                            "has_alignas": "alignas" in decl_prefix
-                                           or "alignas" in prev,
-                        })
-            last_word = word
-            i = end
+
+def scan(text, raw_lines, line, live):
+    """The findings, (line, rule, subject of the message), of the one pass
+    over the tokens, in text order, then atomic-align's."""
+    found = []
+    scopes = []  # (kind, offset) of each open '{': loop, class or block
+    conds = []  # [start, end) of each while/for condition
+    members = {}  # class '{' offset -> [(line, name, exempt)] of its atomics
+    pending = last = None  # the scope kind the next '{' opens; last word
+    seg = 0  # start of the declaration under way
+    for m in TOKEN_RE.finditer(text):
+        tok, i, end = m[0], m.start(), m.end()
+        if tok == "{":
+            scopes.append((pending if pending in ("loop", "class")
+                           else "block", i))
+            pending, seg = None, end
             continue
-        if c == "{":
-            kind = pending if pending in ("loop", "class") else "block"
-            scopes.append(Scope(kind))
-            if kind == "class":
-                class_ids.append(next_class_id[0])
-                next_class_id[0] += 1
-            else:
-                class_ids.append(-1)
-            pending = None
-            seg_start = i + 1
-        elif c == "}":
+        if tok == "}":
             if scopes:
                 scopes.pop()
-                class_ids.pop()
-            seg_start = i + 1
-        elif c == ";":
-            if raw_atomic_scope and scopes and scopes[-1].kind == "class":
-                decl = text[seg_start:i]
+            seg = end
+            continue
+        if tok == ";":
+            if ("plain-shared-member" in live and scopes
+                    and scopes[-1][0] == "class"):
+                decl = text[seg:i]
                 name = plain_member_name(decl)
                 if name is not None:
-                    off = seg_start + decl.rfind(name)
-                    findings.append((line_of(text, off, line_starts),
-                                     "plain-shared-member",
-                                     "member '%s' %s" % (
-                                         name,
-                                         RULES["plain-shared-member"])))
-            seg_start = i + 1
-            # `class Foo;` forward declaration: drop the pending tag.
-            if pending == "class":
+                    found.append((line(seg + decl.rfind(name)),
+                                  "plain-shared-member",
+                                  "member '%s' " % name))
+            seg = end
+            if pending == "class":  # `class Foo;` declares no scope
                 pending = None
-        i += 1
-
-    for members in class_members.values():
-        if len(members) < 2:
             continue
-        for mem in members:
-            if not mem["is_array"] and not mem["has_alignas"]:
-                findings.append((mem["line"], "atomic-align",
-                                 "atomic member '%s' %s" % (
-                                     mem["name"], RULES["atomic-align"])))
-    return findings
+        if tok in ("while", "for"):
+            # A `} while (...)` do-tail re-runs each iteration too.
+            paren = OPEN_RE.match(text, end)
+            if paren:
+                conds.append((paren.end() - 1,
+                              match(text, paren.end() - 1) + 1))
+                pending = "loop"
+        elif tok == "do":
+            pending = "loop"
+        elif tok in ("class", "struct", "union") and last != "enum":
+            pending = "class"
+        elif tok == "namespace":
+            pending = "block"
+        elif tok == "volatile":
+            if last != "asm" and not OPEN_RE.match(text, end):
+                found.append((line(i), "volatile-sync", ""))
+        elif tok in ("compare_exchange_strong", "compare_exchange_weak"):
+            if tok == "compare_exchange_strong" and (
+                    any(kind == "loop" for kind, _ in scopes)
+                    or any(a <= i < b for a, b in conds)):
+                found.append((line(i), "cas-strong-loop", ""))
+            j = text.find("(", end)
+            if j != -1 and ORDER_RE.findall(
+                    text, j, match(text, j) + 1)[:1] == ["relaxed"]:
+                found.append((line(i), "cas-relaxed-success", ""))
+        elif tok == "store" and i > 0 and text[i - 1] in ".>":
+            paren = OPEN_RE.match(text, end)
+            if paren and "seq_cst" in ORDER_RE.findall(
+                    text, paren.end() - 1, match(text, paren.end() - 1) + 1):
+                found.append((line(i), "seqcst-store-reclaim", ""))
+        elif tok in ("atomic", "atomic_flag") and text[i - 5:i] == "std::":
+            found.append((line(i), "raw-atomic", ""))
+            # Only the members of a top-level (not nested) class count.
+            classes = [o for kind, o in scopes if kind == "class"]
+            if (tok == "atomic" and len(classes) == 1
+                    and scopes[-1][0] == "class" and text[end:end + 1] == "<"):
+                close = match(text, end)
+                decl = MEMBER_DECL_RE.match(text[close + 1:close + 200])
+                if decl:
+                    n = line(i)
+                    members.setdefault(classes[0], []).append(
+                        (n, decl[1], decl[2] == "[" or any(
+                            "alignas" in raw for raw in
+                            raw_lines[max(n - 2, 0):n])))
+        last = tok
+    for atomics in members.values():
+        if len(atomics) > 1:
+            found += [(n, "atomic-align", "atomic member '%s' " % name)
+                      for n, name, exempt in atomics if not exempt]
+    return found
 
 
-def lint_path(path, rules):
+def lint_path(path):
+    """The unsuppressed findings in one file: (path, line, rule, message)."""
     with open(path, encoding="utf-8") as f:
         raw = f.read()
-    allowed = collect_allows(raw.splitlines())
-    out = []
-    for line, rule, msg in scan_file(path, raw):
-        if rule not in rules:
-            continue
-        if 0 in allowed[rule] or line in allowed[rule]:
-            continue
-        out.append((path, line, rule, msg))
-    return out
+    norm = os.path.abspath(path).replace(os.sep, "/")
+    live = {rule for rule, (must, never, _) in RULES.items()
+            if (not must or any(frag in norm for frag in must))
+            and not any(frag in norm for frag in never)}
+    text, raw_lines = strip(raw), raw.splitlines()
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+
+    def line(i):
+        return bisect.bisect_right(starts, i)
+
+    # A pass whose rule is out of scope is skipped; the token pass checks
+    # seven rules in one walk, and `live` drops its out-of-scope findings.
+    found = []
+    tags = event_tags(norm) if "obs-tag-registered" in live else None
+    if tags is not None:
+        found += [(line(m.start()), "obs-tag-registered",
+                   "tag 'ev::%s' " % m[1])
+                  for m in TAG_USE_RE.finditer(text) if m[1] not in tags]
+    if "spin-needs-pause" in live:
+        found += [(line(i), "spin-needs-pause", "") for i in spin_waits(text)]
+    if "direct-reclaim-include" in live:
+        found += [(n, "direct-reclaim-include", "")
+                  for n, raw in enumerate(raw_lines, start=1)
+                  if BACKEND_INCLUDE_RE.match(raw)]
+    found += scan(text, raw_lines, line, live)
+    # rule -> suppressed lines; 0 means the whole file.  A line's first
+    # allow(...) and first allow-file(...) count.
+    allowed = {}
+    for n, raw in enumerate(raw_lines, start=1):
+        for file_wide, names in dict(reversed(ALLOW_RE.findall(raw))).items():
+            for rule in re.split(r"[,\s]+", names.strip()):
+                allowed.setdefault(rule, set()).update(
+                    (0,) if file_wide else (n, n + 1))
+    return [(path, n, rule, subject + RULES[rule][2])
+            for n, rule, subject in found
+            if rule in live and not allowed.get(rule, set()) & {0, n}]
 
 
-# --------------------------------------------------------------------------
 # Self-test fixtures: (relative path, source, expected {(line, rule)}).
-# The relative path matters — raw-atomic is scoped by directory.
-# --------------------------------------------------------------------------
+# The relative path matters: rules are scoped by directory.
 SELF_TEST_CASES = [
     # Written first on purpose: the obs-tag-registered fixtures below
     # resolve their events.hpp relative to their own src/tamp/ root, so
@@ -1002,7 +669,7 @@ SELF_TEST_CASES = [
      "#include \"tamp/reclaim/epoch.hpp\"\n",
      set()),
 
-    # ---- kv/ joined FACADE_DIRS with the KV-service PR: the facade
+    # ---- kv/ is a facade family too: the facade
     # rules fire there like in any migrated family ---------------------
     ("src/tamp/kv/raw_and_plain.hpp",
      "#include <atomic>\n"
@@ -1047,6 +714,97 @@ SELF_TEST_CASES = [
      "    obs::counter<obs::ev::kv_adhoc>::inc();\n"
      "}\n",
      {(4, "obs-tag-registered")}),
+
+    # `asm volatile` is a compiler barrier, not a volatile object; a
+    # volatile cast on the next line still fires.
+    ("src/tamp/core/asm_volatile.hpp",
+     "inline void f(int& x) {\n"
+     "    asm volatile(\"\" ::: \"memory\");\n"
+     "    (volatile int&)x = 1;\n"
+     "}\n",
+     {(3, "volatile-sync")}),
+
+    # `enum class` opens no class scope: the struct after it is still a
+    # top-level class, so both unpadded members fire.
+    ("src/tamp/core/enum_then_struct.hpp",
+     "#include <atomic>\n"
+     "enum class Kind { kA, kB };\n"
+     "struct P {\n"
+     "    std::atomic<int> a_{0};\n"
+     "    std::atomic<int> b_{0};\n"
+     "};\n",
+     {(4, "atomic-align"), (5, "atomic-align")}),
+
+    # The atomic-align exemptions: alignas on the line above or on the
+    # member's own line, an array member, the members of a nested struct,
+    # and a class with a single atomic member.
+    ("src/tamp/core/align_exempt.hpp",
+     "#include <atomic>\n"
+     "class A {\n"
+     "    alignas(64)\n"
+     "    std::atomic<int> a_{0};\n"
+     "    alignas(64) std::atomic<int> b_{0};\n"
+     "    int pad_ = 0;\n"
+     "    std::atomic<int> slots_[4];\n"
+     "    struct Node {\n"
+     "        std::atomic<int> x;\n"
+     "        std::atomic<int> y;\n"
+     "    };\n"
+     "};\n"
+     "class B {\n"
+     "    std::atomic<int> only_{0};\n"
+     "};\n",
+     set()),
+
+    # compare_exchange_strong outside any loop is fine; inside a braced
+    # for body it fires.
+    ("src/tamp/core/cas_for.hpp",
+     "#include <atomic>\n"
+     "inline void f(std::atomic<int>& a) {\n"
+     "    int e = 0;\n"
+     "    a.compare_exchange_strong(e, 1);\n"
+     "    for (int i = 0; i < 2; ++i) {\n"
+     "        a.compare_exchange_strong(e, i);\n"
+     "    }\n"
+     "}\n",
+     {(6, "cas-strong-loop")}),
+
+    # A seq_cst store through a pointer fires under reclaim/ too.
+    ("src/tamp/reclaim/arrow.hpp",
+     "#include <atomic>\n"
+     "inline void pub(std::atomic<int>* slot) {\n"
+     "    slot->store(1, std::memory_order_seq_cst);\n"
+     "}\n",
+     {(3, "seqcst-store-reclaim")}),
+
+    # The file-wide hatch silences a rule for the whole file.
+    ("src/tamp/core/allow_file.hpp",
+     "// tamp-lint: allow-file(atomic-align)\n"
+     "#include <atomic>\n"
+     "class P {\n"
+     "    std::atomic<int> a_{0};\n"
+     "    std::atomic<int> b_{0};\n"
+     "};\n",
+     set()),
+
+    # One allow names two rules, and covers its own line and the next
+    # only: the member after that still draws both.
+    ("src/tamp/spin/allow_two.hpp",
+     "#include <atomic>\n"
+     "class L {\n"
+     "    // tamp-lint: allow(raw-atomic, atomic-align)\n"
+     "    std::atomic<int> a_{0};\n"
+     "    std::atomic<int> b_{0};\n"
+     "};\n",
+     {(5, "raw-atomic"), (5, "atomic-align")}),
+
+    # A src/tamp/ tree without an obs/events.hpp has no vocabulary to
+    # check its tags against, so obs-tag-registered stays quiet.
+    ("other/src/tamp/spin/untracked.hpp",
+     "inline void f() {\n"
+     "    obs::counter<obs::ev::anything>::inc();\n"
+     "}\n",
+     set()),
 ]
 
 
@@ -1060,8 +818,7 @@ def self_test():
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(source)
-            got = {(line, rule)
-                   for _, line, rule, _ in lint_path(path, set(RULES))}
+            got = {(line, rule) for _, line, rule, _ in lint_path(path)}
             if got != expected:
                 failures.append((relpath, sorted(expected), sorted(got)))
     for relpath, expected, got in failures:
@@ -1075,46 +832,31 @@ def self_test():
 
 def main():
     ap = argparse.ArgumentParser(
-        description="tamp atomics lint (see module docstring)")
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter,
+        epilog="rules:\n"
+        + "\n".join("  %-22s %s" % (rule, RULES[rule][2])
+                    for rule in sorted(RULES)))
     ap.add_argument("--root", action="append", default=[],
                     help="directory to scan recursively (repeatable); "
                          "default: src/ next to this script")
-    ap.add_argument("--rule", action="append", default=[],
-                    choices=sorted(RULES), help="restrict to these rules")
-    ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("--self-test", action="store_true",
                     help="run the linter over its built-in fixtures")
     args = ap.parse_args()
-
-    if args.list_rules:
-        for rule in sorted(RULES):
-            print("%-20s %s" % (rule, RULES[rule]))
-        return 0
-
     if args.self_test:
         return self_test()
 
-    roots = args.root or [
-        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                     "src")
-    ]
-    rules = set(args.rule) if args.rule else set(RULES)
-
     files = []
-    for root in roots:
+    for root in args.root or [os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")]:
         if not os.path.isdir(root):
             print("lint_atomics: no such directory: %s" % root,
                   file=sys.stderr)
             return 2
         for dirpath, _, names in os.walk(root):
-            for name in sorted(names):
-                if name.endswith((".hpp", ".cpp", ".h", ".cc")):
-                    files.append(os.path.join(dirpath, name))
+            files += [os.path.join(dirpath, name) for name in names
+                      if name.endswith((".hpp", ".cpp", ".h", ".cc"))]
 
-    findings = []
-    for path in sorted(files):
-        findings.extend(lint_path(path, rules))
-
+    findings = [f for path in sorted(files) for f in lint_path(path)]
     for path, line, rule, msg in findings:
         print("%s:%d: [%s] %s" % (os.path.relpath(path), line, rule, msg))
     if findings:
