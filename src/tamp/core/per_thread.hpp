@@ -3,8 +3,9 @@
 // The per-thread store: one cell per dense thread id (thread_registry.hpp),
 // perfbook's per-thread variable (ch. 5) keyed by the book's ThreadID.  It
 // holds every tamp::obs counter, histogram and trace ring, every
-// reclamation domain's thread records, and each split-ordered table's
-// element counts and KV map's scan gates.
+// reclamation domain's thread records, each split-ordered table's
+// element counts and KV map's scan gates, and each queue lock's
+// ThreadLocal node or ticket.
 //
 //  * a cell is allocated by its id's first local() and freed with the
 //    store.  Only the id's current owner allocates it or writes its

@@ -30,10 +30,9 @@
 // Fallback matrix — `enabled()` is false and the readers keep the
 // original seq_cst publication whenever any of these holds:
 //
-//   * compile time: `-DTAMP_ASYMMETRIC_FENCE=OFF` (CMake option; defines
-//     TAMP_ASYM_FENCE=0), a non-Linux target, a ThreadSanitizer build
-//     (TSan neither models membarrier nor fences), or a TAMP_SIM build
-//     (the model checker explores the seq_cst handshake);
+//   * compile time: a non-Linux target, a ThreadSanitizer build (TSan
+//     neither models membarrier nor fences), or a TAMP_SIM build (the
+//     model checker explores the seq_cst handshake);
 //   * runtime: the `TAMP_ASYMMETRIC_FENCE` environment variable is set
 //     to `0`/`off`/`OFF`, or the membarrier registration syscall fails
 //     (ENOSYS kernel, seccomp sandbox, ...).
@@ -52,10 +51,6 @@
 
 #include "tamp/sim/config.hpp"
 
-#if !defined(TAMP_ASYM_FENCE)
-#define TAMP_ASYM_FENCE 1
-#endif
-
 #if defined(__SANITIZE_THREAD__)
 #define TAMP_ASYM_FENCE_TSAN 1
 #elif defined(__has_feature)
@@ -67,18 +62,13 @@
 #define TAMP_ASYM_FENCE_TSAN 0
 #endif
 
-#if TAMP_ASYM_FENCE && defined(__linux__) && !TAMP_SIM && \
-    !TAMP_ASYM_FENCE_TSAN
+#if defined(__linux__) && !TAMP_SIM && !TAMP_ASYM_FENCE_TSAN
 #define TAMP_ASYM_FENCE_AVAILABLE 1
 #else
 #define TAMP_ASYM_FENCE_AVAILABLE 0
 #endif
 
 namespace tamp::asym {
-
-/// True when the asymmetric path is compiled in at all (Linux, not TSan,
-/// not TAMP_SIM, option ON).  `enabled()` may still be false at runtime.
-inline constexpr bool kCompiledIn = (TAMP_ASYM_FENCE_AVAILABLE != 0);
 
 namespace detail {
 #if TAMP_ASYM_FENCE_AVAILABLE

@@ -11,14 +11,13 @@
 #pragma once
 
 #include <atomic>
-
-#include "tamp/core/backoff.hpp"
 #include <cassert>
 #include <cstddef>
 #include <vector>
 
+#include "tamp/core/backoff.hpp"
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/sim/atomic.hpp"
 #include "tamp/sim/hooks.hpp"
@@ -27,11 +26,9 @@ namespace tamp {
 
 class ALock {
   public:
-    /// `capacity` bounds concurrent lock holders + waiters, and `slots`
-    /// (indexed by tamp::thread_id()) remembers each thread's ticket
-    /// between lock() and unlock() — the book's ThreadLocal<Integer>.
+    /// `capacity` bounds concurrent lock holders + waiters.
     explicit ALock(std::size_t capacity = 64)
-        : size_(capacity), flag_(capacity), my_slot_(kMaxThreads) {
+        : size_(capacity), flag_(capacity) {
         assert(capacity >= 1);
         flag_[0].value.store(true, std::memory_order_relaxed);
         for (std::size_t i = 1; i < capacity; ++i) {
@@ -44,7 +41,7 @@ class ALock {
         sim::op_scope op("ALock::lock");
         const std::size_t slot =
             tail_.fetch_add(1, std::memory_order_acq_rel) % size_;
-        my_slot_[thread_id()].value = slot;
+        my_slot_.local().value = slot;
         // Spin on my own line until the predecessor hands the lock over.
         SpinWait w;
         while (!flag_[slot].value.load(std::memory_order_acquire)) {
@@ -53,7 +50,7 @@ class ALock {
     }
 
     void unlock() {
-        const std::size_t slot = my_slot_[thread_id()].value;
+        const std::size_t slot = my_slot_.local().value;
         // Reset my slot for its next go-around of the circular array, then
         // wake the successor.  The release store is the hand-off edge.
         flag_[slot].value.store(false, std::memory_order_relaxed);
@@ -67,7 +64,9 @@ class ALock {
     const std::size_t size_;
     tamp::atomic<std::size_t> tail_{0};
     std::vector<Padded<tamp::atomic<bool>>> flag_;
-    std::vector<Padded<std::size_t>> my_slot_;
+    // Each thread's ticket between lock() and unlock(): the book's
+    // ThreadLocal<Integer>.
+    per_thread<Padded<std::size_t>> my_slot_;
 };
 
 }  // namespace tamp

@@ -8,21 +8,16 @@
 // invalidates exactly one cache, and the queue provides first-come-first-
 // served fairness.  On release a thread recycles its predecessor's node as
 // its own next node (the book's myNode = myPred trick), so the lock needs
-// only n+1 nodes for n threads.
+// only n+1 nodes for n threads: the first tail, a member of the lock, and
+// one node in each thread's slot of the per-thread store.
 
 #pragma once
 
 #include <atomic>
 
 #include "tamp/core/backoff.hpp"
-#include <cassert>
-#include <cstddef>
-#include <memory>
-#include <mutex>
-#include <vector>
-
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/sim/atomic.hpp"
 #include "tamp/sim/hooks.hpp"
@@ -31,64 +26,47 @@ namespace tamp {
 
 class CLHLock {
   public:
-    /// `capacity`: maximum dense thread id (tamp::thread_id()) that may use
-    /// this lock.  Nodes are allocated lazily, one per participating slot.
-    explicit CLHLock(std::size_t capacity = 128)
-        : capacity_(capacity),
-          my_node_(capacity, nullptr),
-          my_pred_(capacity, nullptr) {
-        tail_.store(allocate(), std::memory_order_relaxed);
-    }
+    CLHLock() { tail_.store(&first_tail_.value, std::memory_order_relaxed); }
 
     void lock() {
         obs::scoped_timer<obs::ev::spin_acquire_ns> acquire_latency;
         sim::op_scope op("CLHLock::lock");
-        const std::size_t id = thread_id();
-        assert(id < capacity_ && "raise CLHLock capacity");
-        QNode* node = my_node_[id];
-        if (node == nullptr) node = my_node_[id] = allocate();
+        Slot& me = slots_.local();
+        QNode* node = me.node;
         node->locked.store(true, std::memory_order_relaxed);
         // The exchange publishes `node` (and its locked=true) to the next
         // waiter, and gives us an acquire view of our predecessor.
         QNode* pred = tail_.exchange(node, std::memory_order_acq_rel);
-        my_pred_[id] = pred;
+        me.pred = pred;
         SpinWait w;
         while (pred->locked.load(std::memory_order_acquire)) w.spin();
     }
 
     void unlock() {
-        const std::size_t id = thread_id();
-        QNode* node = my_node_[id];
+        Slot& me = slots_.local();
         // Release store is the lock hand-off edge to the successor's spin.
-        node->locked.store(false, std::memory_order_release);
-        my_node_[id] = my_pred_[id];  // recycle predecessor's node
+        me.node->locked.store(false, std::memory_order_release);
+        me.node = me.pred;  // recycle predecessor's node
     }
-
-    std::size_t capacity() const { return capacity_; }
 
   private:
     struct QNode {
         tamp::atomic<bool> locked{false};
     };
 
-    QNode* allocate() {
-        auto owned = std::make_unique<Padded<QNode>>();
-        QNode* raw = &owned->value;
-        std::lock_guard<std::mutex> guard(alloc_mu_);
-        owned_.push_back(std::move(owned));
-        return raw;
-    }
+    // The book's two ThreadLocal<QNode> fields, and the node the thread
+    // brings to the lock.  Only the owner touches its slot, so the fields
+    // are plain; nodes migrate between threads through the recycling, so
+    // every node lives as long as the lock.
+    struct Slot {
+        Padded<QNode> own;
+        QNode* node = &own.value;  // tamp-lint: allow(plain-shared-member)
+        QNode* pred = nullptr;     // tamp-lint: allow(plain-shared-member)
+    };
 
-    const std::size_t capacity_;
     tamp::atomic<QNode*> tail_{nullptr};
-    // Per-slot node/pred — the book's two ThreadLocal<QNode> fields.  Plain
-    // pointers: each slot is touched only by the thread owning that id.
-    std::vector<QNode*> my_node_;
-    std::vector<QNode*> my_pred_;
-    // Node ownership: nodes migrate between threads via the recycling
-    // trick, so they are owned by the lock and live until it is destroyed.
-    std::mutex alloc_mu_;
-    std::vector<std::unique_ptr<Padded<QNode>>> owned_;
+    Padded<QNode> first_tail_;
+    per_thread<Slot> slots_;
 };
 
 }  // namespace tamp

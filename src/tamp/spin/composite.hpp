@@ -30,8 +30,8 @@
 #include "tamp/core/backoff.hpp"
 #include "tamp/core/cacheline.hpp"
 #include "tamp/core/marked_ptr.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/core/random.hpp"
-#include "tamp/core/thread_registry.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/sim/atomic.hpp"
 
@@ -39,12 +39,8 @@ namespace tamp {
 
 class CompositeLock {
   public:
-    explicit CompositeLock(std::size_t waiting_size = 8,
-                           std::size_t capacity = 128)
-        : size_(waiting_size),
-          waiting_(waiting_size),
-          my_node_(capacity, kNone),
-          tail_(kNone, 0) {
+    explicit CompositeLock(std::size_t waiting_size = 8)
+        : size_(waiting_size), waiting_(waiting_size), tail_(kNone, 0) {
         assert(waiting_size >= 1 && waiting_size < kNone);
     }
 
@@ -64,12 +60,11 @@ class CompositeLock {
     }
 
     void unlock() {
-        const std::size_t id = thread_id();
-        const std::uint64_t node = my_node_[id];
-        assert(node != kNone && "unlock without lock");
-        waiting_[node].value.state.store(State::kReleased,
-                                         std::memory_order_release);
-        my_node_[id] = kNone;
+        std::uint64_t& my_node = my_node_.local().node;
+        assert(my_node != kNone && "unlock without lock");
+        waiting_[my_node].value.state.store(State::kReleased,
+                                            std::memory_order_release);
+        my_node = kNone;
     }
 
     std::size_t waiting_size() const { return size_; }
@@ -101,8 +96,7 @@ class CompositeLock {
 
     template <typename TimedOut>
     bool do_lock(TimedOut timed_out) {
-        const std::size_t id = thread_id();
-        assert(id < my_node_.size() && "raise CompositeLock capacity");
+        std::uint64_t& my_node = my_node_.local().node;
         Backoff backoff(1, 4096);
         std::uint64_t node;
         // Phase 1: capture one of the SIZE waiting nodes.
@@ -112,7 +106,7 @@ class CompositeLock {
         if (!splice_qnode(node, timed_out, &pred)) return false;
         // Phase 3: wait for the predecessor chain to release.
         if (!wait_for_predecessor(pred, node, timed_out)) return false;
-        my_node_[id] = node;
+        my_node = node;
         return true;
     }
 
@@ -211,9 +205,15 @@ class CompositeLock {
         return true;
     }
 
+    // The book's ThreadLocal<QNode>: the index of the node this thread
+    // holds the lock with.
+    struct alignas(kCacheLineSize) Slot {
+        std::uint64_t node = kNone;  // tamp-lint: allow(plain-shared-member)
+    };
+
     const std::size_t size_;
     std::vector<Padded<QNode>> waiting_;
-    std::vector<std::uint64_t> my_node_;  // per-slot captured node index
+    per_thread<Slot> my_node_;
     AtomicStampedIndex tail_;
 };
 

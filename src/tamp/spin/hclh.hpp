@@ -10,16 +10,17 @@
 //
 // Each node's state packs (successorMustWait | tailWhenSpliced |
 // clusterId) into ONE atomic word, and — deviating from the book's node
-// recycling — nodes are used for a single acquisition and then parked in
-// an arena.  This makes every node's state word *monotone* (mustWait only
-// ever drops, tailWhenSpliced only ever rises), which closes the classic
-// HCLH reuse race: the book's recycled node can be re-prepared while a
-// stale local successor still spins on it, yielding a phantom grant and a
-// mutual-exclusion violation.  With monotone words, the splice's
-// tailWhenSpliced (set strictly before the owner's unlock can clear
-// mustWait) is ordered before the clear in the word's modification order,
-// so a spliced tail's local successor can never observe "granted".
-// The cost is one arena node per acquisition, as in TOLock.
+// recycling — each node serves a single acquisition and stays in the
+// acquiring thread's slot until the lock is destroyed.  This makes every
+// node's state word *monotone* (mustWait only ever drops, tailWhenSpliced
+// only ever rises), which closes the classic HCLH reuse race: the book's
+// recycled node can be re-prepared while a stale local successor still
+// spins on it, yielding a phantom grant and a mutual-exclusion violation.
+// With monotone words, the splice's tailWhenSpliced (set strictly before
+// the owner's unlock can clear mustWait) is ordered before the clear in
+// the word's modification order, so a spliced tail's local successor can
+// never observe "granted".
+// The cost is one node per acquisition, as in TOLock.
 //
 // Cluster identity is simulated from the dense thread id, as in HBOLock
 // (see DESIGN.md's substitution table).
@@ -27,15 +28,14 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "tamp/core/backoff.hpp"
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/sim/atomic.hpp"
 
@@ -92,32 +92,25 @@ class HCLHLock {
     };
 
   public:
-    explicit HCLHLock(std::size_t clusters = 4, std::size_t cluster_size = 2,
-                      std::size_t capacity = 128)
+    explicit HCLHLock(std::size_t clusters = 4, std::size_t cluster_size = 2)
         : clusters_(clusters ? clusters : 1),
           cluster_size_(cluster_size ? cluster_size : 1),
-          local_queues_(clusters_),
-          my_node_(capacity, nullptr),
-          cache_(capacity) {
+          local_queues_(clusters_) {
         for (auto& q : local_queues_) {
             q.value.store(nullptr, std::memory_order_relaxed);
         }
         // The global queue starts with a dummy *released* node from a
         // cluster id no thread has, so the first master waits on nothing.
-        QNode* dummy = allocate(0);
-        dummy->prepare(static_cast<std::uint32_t>(clusters_));
-        dummy->clear_successor_must_wait();
-        global_queue_.store(dummy, std::memory_order_relaxed);
+        dummy_.value.prepare(static_cast<std::uint32_t>(clusters_));
+        dummy_.value.clear_successor_must_wait();
+        global_queue_.store(&dummy_.value, std::memory_order_relaxed);
     }
 
     void lock() {
         obs::scoped_timer<obs::ev::spin_acquire_ns> acquire_latency;
-        const std::size_t id = thread_id();
-        assert(id < my_node_.size() && "raise HCLHLock capacity");
-        const std::uint32_t my_cluster = cluster_of(id);
-        QNode* my_node = allocate(id);  // fresh per acquisition (monotone)
+        const std::uint32_t my_cluster = cluster_of(thread_id());
+        QNode* my_node = slots_.local().fresh();  // one per acquisition
         my_node->prepare(my_cluster);
-        my_node_[id] = my_node;
 
         // Splice into the local queue.
         auto& local = local_queues_[my_cluster].value;
@@ -142,9 +135,7 @@ class HCLHLock {
         while (global_pred->successor_must_wait()) w.spin();
     }
 
-    void unlock() {
-        my_node_[thread_id()]->clear_successor_must_wait();
-    }
+    void unlock() { slots_.local().node->clear_successor_must_wait(); }
 
     std::uint32_t cluster_of(std::size_t tid) const {
         return static_cast<std::uint32_t>((tid / cluster_size_) %
@@ -152,37 +143,33 @@ class HCLHLock {
     }
 
   private:
-    // Per-slot bump allocation over lock-owned chunks (as in TOLock).
-    // Each slot has exactly one owning thread, so these fields are
-    // thread-private — plain on purpose.
-    struct SlotCache {
-        Padded<QNode>* chunk = nullptr;
-        std::size_t used = 0;  // tamp-lint: allow(plain-shared-member)
-        std::size_t cap = 0;   // tamp-lint: allow(plain-shared-member)
-    };
     static constexpr std::size_t kChunk = 128;
 
-    QNode* allocate(std::size_t id) {
-        SlotCache& c = cache_[id].value;
-        if (c.used == c.cap) {
-            auto chunk = std::make_unique<Padded<QNode>[]>(kChunk);
-            c.chunk = chunk.get();
-            c.used = 0;
-            c.cap = kChunk;
-            std::lock_guard<std::mutex> guard(arena_mu_);
-            arena_.push_back(std::move(chunk));
+    // The book's ThreadLocal<QNode>, and the chunks this thread's nodes
+    // come from, as in TOLock.  Only the owner touches its slot, so the
+    // fields are plain and no lock guards the chunks.
+    struct alignas(kCacheLineSize) Slot {
+        QNode* node = nullptr;       // tamp-lint: allow(plain-shared-member)
+        std::size_t used = kChunk;   // tamp-lint: allow(plain-shared-member)
+        std::vector<std::unique_ptr<Padded<QNode>[]>> chunks;
+
+        // A node for one acquisition, never handed out before.
+        QNode* fresh() {
+            if (used == kChunk) {
+                chunks.push_back(std::make_unique<Padded<QNode>[]>(kChunk));
+                used = 0;
+            }
+            node = &chunks.back()[used++].value;
+            return node;
         }
-        return &c.chunk[c.used++].value;
-    }
+    };
 
     const std::size_t clusters_;
     const std::size_t cluster_size_;
     std::vector<Padded<tamp::atomic<QNode*>>> local_queues_;
     tamp::atomic<QNode*> global_queue_{nullptr};
-    std::vector<QNode*> my_node_;
-    std::vector<Padded<SlotCache>> cache_;
-    std::mutex arena_mu_;
-    std::vector<std::unique_ptr<Padded<QNode>[]>> arena_;
+    Padded<QNode> dummy_;
+    per_thread<Slot> slots_;
 };
 
 }  // namespace tamp

@@ -15,12 +15,8 @@
 #include <atomic>
 
 #include "tamp/core/backoff.hpp"
-#include <cassert>
-#include <cstddef>
-#include <vector>
-
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/sim/atomic.hpp"
 #include "tamp/sim/hooks.hpp"
@@ -29,12 +25,10 @@ namespace tamp {
 
 class MCSLock {
   public:
-    explicit MCSLock(std::size_t capacity = 128) : nodes_(capacity) {}
-
     void lock() {
         obs::scoped_timer<obs::ev::spin_acquire_ns> acquire_latency;
         sim::op_scope op("MCSLock::lock");
-        QNode* node = my_node();
+        QNode* node = &nodes_.local().value;
         node->next.store(nullptr, std::memory_order_relaxed);
         QNode* pred = tail_.exchange(node, std::memory_order_acq_rel);
         if (pred != nullptr) {
@@ -50,7 +44,7 @@ class MCSLock {
     }
 
     void unlock() {
-        QNode* node = my_node();
+        QNode* node = &nodes_.local().value;
         QNode* succ = node->next.load(std::memory_order_acquire);
         if (succ == nullptr) {
             // No visible successor.  If the tail is still us, the queue is
@@ -72,24 +66,17 @@ class MCSLock {
         succ->locked.store(false, std::memory_order_release);
     }
 
-    std::size_t capacity() const { return nodes_.size(); }
-
   private:
     struct QNode {
         tamp::atomic<bool> locked{false};
         tamp::atomic<QNode*> next{nullptr};
     };
 
-    QNode* my_node() {
-        const std::size_t id = thread_id();
-        assert(id < nodes_.size() && "raise MCSLock capacity");
-        return &nodes_[id].value;
-    }
-
     tamp::atomic<QNode*> tail_{nullptr};
-    // MCS nodes never migrate between threads, so a fixed per-slot array
-    // (padded against false sharing) suffices — no allocation on any path.
-    std::vector<Padded<QNode>> nodes_;
+    // The book's ThreadLocal<QNode>.  MCS nodes never migrate between
+    // threads, so each thread's node stays in its slot, padded against
+    // false sharing: no allocation after a thread's first lock().
+    per_thread<Padded<QNode>> nodes_;
 };
 
 }  // namespace tamp

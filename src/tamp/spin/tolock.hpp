@@ -10,26 +10,24 @@
 // node instead points `pred` at the distinguished AVAILABLE sentinel.
 //
 // Reclamation: the Java original leans on the garbage collector, since an
-// abandoned node may be referenced by an unknown number of successors.  We
-// give each lock an arena — nodes are bump-allocated in chunks and freed
-// only when the lock is destroyed.  The arena grows by one node per
-// acquisition *attempt*; callers running unbounded acquisition loops for
-// hours should prefer CLH/MCS (which recycle) unless they need timeout.
+// abandoned node may be referenced by an unknown number of successors.
+// Here each acquisition *attempt* takes a fresh node from chunks that the
+// thread's slot of the per-thread store owns, and the chunks are freed
+// only when the lock is destroyed.  Callers running unbounded acquisition
+// loops for hours should prefer CLH/MCS (which recycle) unless they need
+// timeout.
 
 #pragma once
 
 #include <atomic>
-
-#include "tamp/core/backoff.hpp"
-#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "tamp/core/backoff.hpp"
 #include "tamp/core/cacheline.hpp"
-#include "tamp/core/thread_registry.hpp"
+#include "tamp/core/per_thread.hpp"
 #include "tamp/obs/timer.hpp"
 #include "tamp/sim/atomic.hpp"
 
@@ -37,19 +35,12 @@ namespace tamp {
 
 class TOLock {
   public:
-    explicit TOLock(std::size_t capacity = 128)
-        : capacity_(capacity), my_node_(capacity, nullptr), cache_(capacity) {}
-
     /// Attempt acquisition, giving up after `patience`.
     template <typename Rep, typename Period>
     bool try_lock_for(std::chrono::duration<Rep, Period> patience) {
         const auto deadline = std::chrono::steady_clock::now() + patience;
-        const std::size_t id = thread_id();
-        assert(id < capacity_ && "raise TOLock capacity");
-
-        QNode* qnode = allocate(id);
+        QNode* qnode = slots_.local().fresh();
         qnode->pred.store(nullptr, std::memory_order_relaxed);
-        my_node_[id] = qnode;
 
         QNode* my_pred = tail_.exchange(qnode, std::memory_order_acq_rel);
         if (my_pred == nullptr ||
@@ -81,11 +72,8 @@ class TOLock {
     void lock() {
         obs::scoped_timer<obs::ev::spin_acquire_ns> acquire_latency;
         // Untimed acquisition = infinite patience, minus the deadline math.
-        const std::size_t id = thread_id();
-        assert(id < capacity_ && "raise TOLock capacity");
-        QNode* qnode = allocate(id);
+        QNode* qnode = slots_.local().fresh();
         qnode->pred.store(nullptr, std::memory_order_relaxed);
-        my_node_[id] = qnode;
         QNode* my_pred = tail_.exchange(qnode, std::memory_order_acq_rel);
         if (my_pred == nullptr) return;
         SpinWait w;
@@ -98,8 +86,7 @@ class TOLock {
     }
 
     void unlock() {
-        const std::size_t id = thread_id();
-        QNode* qnode = my_node_[id];
+        QNode* qnode = slots_.local().node;
         // If nobody is queued behind us, reset the tail; otherwise mark the
         // node AVAILABLE so the successor (whoever it turns out to be) can
         // claim the lock.
@@ -122,35 +109,29 @@ class TOLock {
         return &sentinel;
     }
 
-    // Per-slot bump allocator over lock-owned chunks.  Each slot has
-    // exactly one owning thread, so these fields are thread-private —
-    // plain on purpose.
-    struct SlotCache {
-        QNode* chunk = nullptr;   // tamp-lint: allow(plain-shared-member)
-        std::size_t used = 0;     // tamp-lint: allow(plain-shared-member)
-        std::size_t cap = 0;      // tamp-lint: allow(plain-shared-member)
-    };
     static constexpr std::size_t kChunk = 256;
 
-    QNode* allocate(std::size_t id) {
-        SlotCache& c = cache_[id].value;
-        if (c.used == c.cap) {
-            auto chunk = std::make_unique<QNode[]>(kChunk);
-            c.chunk = chunk.get();
-            c.used = 0;
-            c.cap = kChunk;
-            std::lock_guard<std::mutex> guard(arena_mu_);
-            arena_.push_back(std::move(chunk));
-        }
-        return &c.chunk[c.used++];
-    }
+    // The book's ThreadLocal<QNode>, and the chunks this thread's nodes
+    // come from.  Only the owner touches its slot, so the fields are
+    // plain and no lock guards the chunks.
+    struct alignas(kCacheLineSize) Slot {
+        QNode* node = nullptr;       // tamp-lint: allow(plain-shared-member)
+        std::size_t used = kChunk;   // tamp-lint: allow(plain-shared-member)
+        std::vector<std::unique_ptr<QNode[]>> chunks;
 
-    const std::size_t capacity_;
+        // A node for one acquisition attempt, never handed out before.
+        QNode* fresh() {
+            if (used == kChunk) {
+                chunks.push_back(std::make_unique<QNode[]>(kChunk));
+                used = 0;
+            }
+            node = &chunks.back()[used++];
+            return node;
+        }
+    };
+
     tamp::atomic<QNode*> tail_{nullptr};
-    std::vector<QNode*> my_node_;
-    std::vector<Padded<SlotCache>> cache_;
-    std::mutex arena_mu_;
-    std::vector<std::unique_ptr<QNode[]>> arena_;
+    per_thread<Slot> slots_;
 };
 
 }  // namespace tamp

@@ -22,8 +22,7 @@
 //    and reports starvation, which is what separates the two classes.
 //
 // When TAMP_PROGRESS_JSON is set, the full classification table is written
-// there as machine-readable JSON; tools/progress_report.py renders and
-// gates it.
+// there as machine-readable JSON; tools/progress_report.py renders it.
 
 #include "tamp/sim/sim.hpp"
 

@@ -37,7 +37,11 @@ TEST(Sim, RequiresTampSimBuild) {
 #include "tamp/kv/split_ordered_map.hpp"
 #include "tamp/mutex/peterson.hpp"
 #include "tamp/queues/ms_queue.hpp"
+#include "tamp/spin/clh.hpp"
+#include "tamp/spin/composite.hpp"
+#include "tamp/spin/hclh.hpp"
 #include "tamp/spin/tas.hpp"
+#include "tamp/spin/tolock.hpp"
 #include "tamp/stacks/treiber.hpp"
 #include "test_util.hpp"
 
@@ -171,6 +175,61 @@ TEST(SimLocks, TasLockMutualExclusionHolds) {
     });
     EXPECT_TRUE(res.ok) << res.message;
     EXPECT_TRUE(res.exhausted);
+}
+
+// The queue locks, two threads each: every interleaving of their
+// acquisitions, down to the node hand-offs, keeps one thread in the
+// critical section.
+template <typename Lock, typename... Args>
+sim::ExploreResult explore_queue_lock(int acquisitions, Args... args) {
+    sim::ExploreOptions opts;
+    return sim::explore(opts, [=] {
+        Lock lk(args...);
+        tamp::atomic<int> in_cs{0};
+        auto acquire = [&] {
+            for (int i = 0; i < acquisitions; ++i) {
+                occupancy_section(in_cs, [&] { lk.lock(); },
+                                  [&] { lk.unlock(); });
+            }
+        };
+        sim::thread a(acquire);
+        sim::thread b(acquire);
+        a.join();
+        b.join();
+    });
+}
+
+// Two acquisitions each: a thread's second lock() enqueues the
+// predecessor node its first unlock() recycled.
+TEST(SimLocks, ClhLockRecycledNodeMutualExclusionHolds) {
+    const auto res = explore_queue_lock<tamp::CLHLock>(2);
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+}
+
+TEST(SimLocks, ToLockMutualExclusionHolds) {
+    for (int acquisitions : {1, 2}) {
+        const auto res = explore_queue_lock<tamp::TOLock>(acquisitions);
+        EXPECT_TRUE(res.ok) << acquisitions << ": " << res.message;
+        EXPECT_TRUE(res.exhausted) << acquisitions;
+    }
+}
+
+TEST(SimLocks, CompositeLockMutualExclusionHolds) {
+    const auto res = explore_queue_lock<tamp::CompositeLock>(1, 2);
+    EXPECT_TRUE(res.ok) << res.message;
+    EXPECT_TRUE(res.exhausted);
+}
+
+// Two clusters of one thread each, where the masters splice and the
+// global queue hands the lock over, and one cluster, where the second
+// thread either takes the local hand-off or, spliced out, becomes master.
+TEST(SimLocks, HclhLockMutualExclusionHolds) {
+    for (std::size_t clusters : {2, 1}) {
+        const auto res = explore_queue_lock<tamp::HCLHLock>(1, clusters, 1);
+        EXPECT_TRUE(res.ok) << clusters << ": " << res.message;
+        EXPECT_TRUE(res.exhausted) << clusters;
+    }
 }
 
 // LockOne (Fig. 2.3) deadlocks when the two lock() calls interleave — the

@@ -8,9 +8,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <optional>
 #include <thread>
+#include <type_traits>
 
 #include "tamp/core/concepts.hpp"
+#include "tamp/core/thread_registry.hpp"
 #include "tamp/spin/spin.hpp"
 #include "test_util.hpp"
 
@@ -82,6 +86,30 @@ TYPED_TEST(SpinLockTest, HandOffBetweenTwoThreads) {
         }
     });
     EXPECT_FALSE(violation.load());
+}
+
+// A lock keeps its per-thread state for every dense id a live thread can
+// hold, not for the first 128: 130 threads take their ids while all are
+// alive, so some ids pass 128, and then each takes the lock once.  ALock
+// gets an array slot for each of them, since all may wait at once.
+TYPED_TEST(SpinLockTest, ServesThreadIdsPastTheFirst128) {
+    constexpr std::size_t kThreads = 130;
+    std::optional<TypeParam> lock;
+    if constexpr (std::is_same_v<TypeParam, ALock>) {
+        lock.emplace(kThreads);
+    } else {
+        lock.emplace();
+    }
+    std::latch registered(kThreads);
+    long counter = 0;
+    run_threads(kThreads, [&](std::size_t) {
+        (void)thread_id();
+        registered.arrive_and_wait();
+        lock->lock();
+        ++counter;
+        lock->unlock();
+    });
+    EXPECT_EQ(counter, static_cast<long>(kThreads));
 }
 
 // ------------------------------------------------------------- try_lock
